@@ -20,10 +20,10 @@ struct Outcome {
 
 Outcome Run(bool revise) {
   Simulator sim;
-  BundleOptions opt;
-  opt.split_token.revise_at_block_level = revise;
-  Bundle b = MakeBundle(SchedKind::kSplitToken, std::move(opt));
-  b.split_token->SetAccountLimit(1, 512.0 * 1024);
+  SplitTokenConfig token;
+  token.revise_at_block_level = revise;
+  Bundle b = MakeBundle(SplitTokenSpec(token));
+  b.composed->SetAccountLimit(1, 512.0 * 1024);
   Process* a = b.stack->NewProcess("A");
   Process* bp = b.stack->NewProcess("B");
   bp->set_account(1);

@@ -19,11 +19,12 @@ struct Outcome {
 
 Outcome Run(bool own_writeback) {
   Simulator sim;
+  SplitDeadlineConfig deadline;
+  deadline.own_writeback = own_writeback;
+  deadline.pdflush_dirty_margin_bytes = 32ULL << 20;
   BundleOptions opt;
-  opt.split_deadline.own_writeback = own_writeback;
-  opt.split_deadline.pdflush_dirty_margin_bytes = 32ULL << 20;
   opt.stack.cache.writeback_daemon = !own_writeback;
-  Bundle b = MakeBundle(SchedKind::kSplitDeadline, std::move(opt));
+  Bundle b = MakeBundle(SplitDeadlineSpec(deadline), std::move(opt));
   Process* a = b.stack->NewProcess("A");
   a->set_fsync_deadline(Msec(50));
   Process* bp = b.stack->NewProcess("B");

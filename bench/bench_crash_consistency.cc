@@ -18,10 +18,10 @@ namespace splitio {
 namespace {
 
 int RunAll() {
-  using Sched = CrashSweepOptions::Sched;
-  const Sched kScheds[] = {Sched::kNoop,         Sched::kCfq,
-                           Sched::kBlockDeadline, Sched::kAfq,
-                           Sched::kSplitDeadline, Sched::kSplitToken};
+  const SchedKind kScheds[] = {
+      SchedKind::kNoop,          SchedKind::kCfq,
+      SchedKind::kBlockDeadline, SchedKind::kAfq,
+      SchedKind::kSplitDeadline, SchedKind::kSplitToken};
 
   std::printf(
       "\n=== Crash consistency: ordered-mode invariants at crash points "
@@ -37,7 +37,7 @@ int RunAll() {
   uint64_t flushes = 0;
   uint64_t faults = 0;
 
-  auto run_one = [&](Sched sched, bool xfs, bool inject) {
+  auto run_one = [&](SchedKind sched, bool xfs, bool inject) {
     CrashSweepOptions options;
     options.sched = sched;
     options.xfs = xfs;
@@ -48,7 +48,7 @@ int RunAll() {
     options.inject_faults = inject;
     CrashSweepResult result = RunCrashSweep(options);
     std::printf("%-16s %-5s %-7s %7llu %6llu %9llu %7llu %8llu %7s\n",
-                CrashSweepSchedName(sched), xfs ? "xfs" : "ext4",
+                SchedName(sched), xfs ? "xfs" : "ext4",
                 inject ? "on" : "off",
                 static_cast<unsigned long long>(result.crash_points),
                 static_cast<unsigned long long>(result.total_violations),
@@ -70,18 +70,18 @@ int RunAll() {
 
   bool all_ok = true;
   for (bool xfs : {false, true}) {
-    for (Sched sched : kScheds) {
+    for (SchedKind sched : kScheds) {
       all_ok &= run_one(sched, xfs, /*inject=*/false);
     }
   }
   // Transient EIO + latency spikes on top of crash exploration: successful
   // fsyncs must still be honest.
-  all_ok &= run_one(Sched::kSplitToken, /*xfs=*/false, /*inject=*/true);
-  all_ok &= run_one(Sched::kSplitDeadline, /*xfs=*/true, /*inject=*/true);
+  all_ok &= run_one(SchedKind::kSplitToken, /*xfs=*/false, /*inject=*/true);
+  all_ok &= run_one(SchedKind::kSplitDeadline, /*xfs=*/true, /*inject=*/true);
 
   // Negative control: the injected ordering bug must be caught.
   CrashSweepOptions buggy;
-  buggy.sched = Sched::kSplitDeadline;
+  buggy.sched = SchedKind::kSplitDeadline;
   buggy.horizon = Sec(8);
   buggy.record_crash_points = 32;
   buggy.seed = DeriveSeed(1);

@@ -24,9 +24,9 @@ Result Run(SchedKind kind) {
   Simulator sim;
   BundleOptions opt;
   opt.stack.cache.total_ram = 4ULL << 30;
-  Bundle b = MakeBundle(kind, std::move(opt));
-  if (b.split_token != nullptr) {
-    b.split_token->SetAccountLimit(1, 1.0 * 1024 * 1024);
+  Bundle b = MakeBundle(SpecForKind(kind), std::move(opt));
+  if (b.composed != nullptr && b.composed->has_token_budget()) {
+    b.composed->SetAccountLimit(1, 1.0 * 1024 * 1024);
   }
   Process* a = b.stack->NewProcess("A");
   Process* bp = b.stack->NewProcess("B");

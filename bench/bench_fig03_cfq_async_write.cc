@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   Simulator sim;
   BundleOptions opt;
   opt.stack.cache.total_ram = 2ULL << 30;
-  Bundle b = MakeBundle(SchedKind::kCfq, std::move(opt));
+  Bundle b = MakeBundle(CfqSpec(), std::move(opt));
 
   std::vector<Process*> procs;
   std::vector<WorkloadStats> stats(8);

@@ -21,10 +21,10 @@ Row RunOne(uint64_t n_bytes) {
   StackCounterScope scope(std::string(SchedName(SchedKind::kBlockDeadline)) +
                           "/" + HumanBytes(n_bytes));
   Simulator sim;
-  BundleOptions opt;
-  opt.block_deadline.read_expiry = Msec(20);
-  opt.block_deadline.write_expiry = Msec(20);
-  Bundle b = MakeBundle(SchedKind::kBlockDeadline, std::move(opt));
+  BlockDeadlineConfig deadline;
+  deadline.read_expiry = Msec(20);
+  deadline.write_expiry = Msec(20);
+  Bundle b = MakeBundle(BlockDeadlineSpec(deadline));
   Process* a = b.stack->NewProcess("A");
   Process* bp = b.stack->NewProcess("B");
   WorkloadStats a_stats;

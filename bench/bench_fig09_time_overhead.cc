@@ -25,7 +25,7 @@ Row Run(SchedKind kind, int threads) {
   Simulator sim;
   BundleOptions opt;
   opt.stack.device = StackConfig::DeviceKind::kSsd;
-  Bundle b = MakeBundle(kind, std::move(opt));
+  Bundle b = MakeBundle(SpecForKind(kind), std::move(opt));
   constexpr Nanos kEnd = Sec(10);
   std::vector<WorkloadStats> stats(static_cast<size_t>(threads));
   int64_t ino = b.stack->fs().CreatePreallocated("/data", 8ULL << 30);

@@ -26,7 +26,7 @@ Row Run(double dirty_ratio) {
   opt.stack.cache.total_ram = 8ULL << 30;
   opt.stack.cache.dirty_ratio = dirty_ratio;
   opt.stack.cache.dirty_background_ratio = dirty_ratio / 2;
-  Bundle b = MakeBundle(SchedKind::kSplitToken, std::move(opt));
+  Bundle b = MakeBundle(SplitTokenSpec(), std::move(opt));
   constexpr Nanos kEnd = Sec(60);
   constexpr int kWriters = 4;
   std::vector<WorkloadStats> stats(kWriters);

@@ -63,7 +63,7 @@ Shares Run(SchedKind kind, Mode mode) {
   Simulator sim;
   BundleOptions opt;
   opt.stack.cache.total_ram = 2ULL << 30;
-  Bundle b = MakeBundle(kind, std::move(opt));
+  Bundle b = MakeBundle(SpecForKind(kind), std::move(opt));
   int per_prio = mode == Mode::kSyncRandWrite ? 5 : 1;
   int n = 8 * per_prio;
   std::vector<WorkloadStats> stats(static_cast<size_t>(n));

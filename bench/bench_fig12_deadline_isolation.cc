@@ -26,14 +26,19 @@ Outcome Run(SchedKind kind, bool ssd) {
   if (ssd) {
     opt.stack.device = StackConfig::DeviceKind::kSsd;
   }
+  PolicySpec spec;
   if (kind == SchedKind::kSplitDeadline) {
-    opt.split_deadline.own_writeback = true;
+    SplitDeadlineConfig deadline;
+    deadline.own_writeback = true;
+    spec = SplitDeadlineSpec(deadline);
     opt.stack.cache.writeback_daemon = false;
   } else {
-    opt.block_deadline.read_expiry = ssd ? Msec(10) : Msec(20);
-    opt.block_deadline.write_expiry = ssd ? Msec(10) : Msec(20);
+    BlockDeadlineConfig deadline;
+    deadline.read_expiry = ssd ? Msec(10) : Msec(20);
+    deadline.write_expiry = ssd ? Msec(10) : Msec(20);
+    spec = BlockDeadlineSpec(deadline);
   }
-  Bundle b = MakeBundle(kind, std::move(opt));
+  Bundle b = MakeBundle(spec, std::move(opt));
   Process* a = b.stack->NewProcess("A");
   Process* bp = b.stack->NewProcess("B");
   // Table 3: fsync deadlines — A short, B long (B's fsync moves much data).

@@ -18,8 +18,8 @@ double RunSpin(int threads) {
   Simulator sim;
   BundleOptions opt;
   opt.cores = 32;
-  Bundle b = MakeBundle(SchedKind::kSplitToken, std::move(opt));
-  b.split_token->SetAccountLimit(1, 1.0 * 1024 * 1024);
+  Bundle b = MakeBundle(SplitTokenSpec(), std::move(opt));
+  b.composed->SetAccountLimit(1, 1.0 * 1024 * 1024);
   Process* a = b.stack->NewProcess("A");
   int64_t ino = b.stack->fs().CreatePreallocated("/a", 8ULL << 30);
   WorkloadStats a_stats;
@@ -52,8 +52,8 @@ double RunB(BWorkload w, int threads) {
   Simulator sim;
   BundleOptions opt;
   opt.cores = 32;
-  Bundle b = MakeBundle(p.sched, std::move(opt));
-  b.split_token->SetAccountLimit(1, p.b_rate);
+  Bundle b = MakeBundle(SpecForKind(p.sched), std::move(opt));
+  b.composed->SetAccountLimit(1, p.b_rate);
   Process* a = b.stack->NewProcess("A");
   int64_t a_ino = b.stack->fs().CreatePreallocated("/a", 8ULL << 30);
   WorkloadStats a_stats;

@@ -25,8 +25,8 @@ Row Run(StackConfig::FsKind fs, Nanos sleep) {
   Simulator sim;
   BundleOptions opt;
   opt.stack.fs = fs;
-  Bundle b = MakeBundle(SchedKind::kSplitToken, std::move(opt));
-  b.split_token->SetAccountLimit(1, 512.0 * 1024);  // tight metadata budget
+  Bundle b = MakeBundle(SplitTokenSpec(), std::move(opt));
+  b.composed->SetAccountLimit(1, 512.0 * 1024);  // tight metadata budget
   Process* a = b.stack->NewProcess("A");
   Process* bp = b.stack->NewProcess("B");
   bp->set_account(1);

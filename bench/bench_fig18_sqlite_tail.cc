@@ -29,11 +29,14 @@ Row Run(SchedKind kind, uint64_t threshold) {
   // writeback daemon from pre-cleaning the table (very long expiry).
   opt.stack.cache.dirty_expire = Sec(600);
   opt.stack.cache.writeback_interval = Sec(60);
+  PolicySpec spec = SpecForKind(kind);
   if (kind == SchedKind::kSplitDeadline) {
-    opt.split_deadline.own_writeback = true;
+    SplitDeadlineConfig deadline;
+    deadline.own_writeback = true;
+    spec = SplitDeadlineSpec(deadline);
     opt.stack.cache.writeback_daemon = false;
   }
-  Bundle b = MakeBundle(kind, std::move(opt));
+  Bundle b = MakeBundle(spec, std::move(opt));
   Process* worker = b.stack->NewProcess("sqlite-worker");
   Process* checkpointer = b.stack->NewProcess("sqlite-checkpointer");
   worker->set_fsync_deadline(Msec(100));       // WAL appends + reads: tight

@@ -27,15 +27,20 @@ Cdf Run(SchedKind kind, bool own_writeback) {
   Simulator sim;
   BundleOptions opt;
   opt.stack.device = StackConfig::DeviceKind::kSsd;
+  PolicySpec spec;
   if (kind == SchedKind::kSplitDeadline) {
-    opt.split_deadline.own_writeback = own_writeback;
-    opt.split_deadline.pdflush_dirty_margin_bytes = 32ULL << 20;
+    SplitDeadlineConfig deadline;
+    deadline.own_writeback = own_writeback;
+    deadline.pdflush_dirty_margin_bytes = 32ULL << 20;
+    spec = SplitDeadlineSpec(deadline);
     opt.stack.cache.writeback_daemon = !own_writeback;
   } else {
-    opt.block_deadline.read_expiry = Msec(5);
-    opt.block_deadline.write_expiry = Msec(5);
+    BlockDeadlineConfig deadline;
+    deadline.read_expiry = Msec(5);
+    deadline.write_expiry = Msec(5);
+    spec = BlockDeadlineSpec(deadline);
   }
-  Bundle b = MakeBundle(kind, std::move(opt));
+  Bundle b = MakeBundle(spec, std::move(opt));
   PgSim::Config config;
   config.workers = 16;
   PgSim pg(b.stack.get(), config);

@@ -25,12 +25,9 @@ Outcome Run(SchedKind kind, BWorkload w, double a_alone_hint) {
   BundleOptions opt;
   opt.cores = 4;  // the paper's 4-core 8 GB QEMU host
   opt.stack.cache.total_ram = 8ULL << 30;
-  Bundle b = MakeBundle(kind, std::move(opt));
-  if (b.split_token != nullptr) {
-    b.split_token->SetAccountLimit(1, 1.0 * 1024 * 1024);
-  }
-  if (b.scs_token != nullptr) {
-    b.scs_token->SetAccountLimit(1, 1.0 * 1024 * 1024);
+  Bundle b = MakeBundle(SpecForKind(kind), std::move(opt));
+  if (b.composed != nullptr && b.composed->has_token_budget()) {
+    b.composed->SetAccountLimit(1, 1.0 * 1024 * 1024);
   }
   Process* vm_a = b.stack->NewProcess("qemu-A");
   Process* vm_b = b.stack->NewProcess("qemu-B");

@@ -42,7 +42,7 @@ RunResult Run(const std::string& label, bool mq, int hw, int depth) {
   opt.stack.mq.enabled = mq;
   opt.stack.mq.nr_hw_queues = hw;
   opt.stack.mq.queue_depth = depth;
-  Bundle b = MakeBundle(SchedKind::kSplitToken, std::move(opt));
+  Bundle b = MakeBundle(SplitTokenSpec(), std::move(opt));
   int64_t ino = b.stack->fs().CreatePreallocated("/data", 8ULL << 30);
   std::vector<WorkloadStats> stats(kThreads);
   auto worker = [&](int tid) -> Task<void> {

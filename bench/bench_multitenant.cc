@@ -34,24 +34,12 @@ namespace {
 
 double Ms(Nanos ns) { return static_cast<double>(ns) / 1e6; }
 
-CloudBackendResult RunOne(SchedKind kind, bool mq, int tenants) {
-  StackCounterScope scope(std::string(SchedName(kind)) +
-                          (mq ? "/mq" : "/legacy"));
+// Runs one registered scheduler, canonical or hybrid, through the backend.
+CloudBackendResult RunOne(const char* sched, bool mq, int tenants) {
+  StackCounterScope scope(std::string(sched) + (mq ? "/mq" : "/legacy"));
   CloudBackendParams p;
   p.tenants = tenants;
-  p.sched = kind;
-  p.mq = mq;
-  return RunCloudBackend(p);
-}
-
-// Hybrid policy specs run through the same backend via their registered
-// name (CloudBackendParams::spec_name).
-CloudBackendResult RunOneSpec(const std::string& spec_name, bool mq,
-                              int tenants) {
-  StackCounterScope scope(spec_name + (mq ? "/mq" : "/legacy"));
-  CloudBackendParams p;
-  p.tenants = tenants;
-  p.spec_name = spec_name;
+  p.sched = sched;
   p.mq = mq;
   return RunCloudBackend(p);
 }
@@ -134,45 +122,28 @@ int main(int argc, char** argv) {
   bool cfq_burns = false;
   bool conservation_ok = true;
   for (bool mq : {false, true}) {
-    for (SchedKind kind : kAllSchedKinds) {
-      CloudBackendResult r = RunOne(kind, mq, tenants);
-      PrintRow(SchedName(kind), mq, r);
-      ReportRun(SchedName(kind), mq, r);
+    // The eight canonical schedulers, then the hybrid composed policies:
+    // deadline dispatch over hierarchical tokens, and account-keyed AFQ —
+    // same mix, same admission path.
+    for (const char* sched : AllPolicySpecNames()) {
+      CloudBackendResult r = RunOne(sched, mq, tenants);
+      PrintRow(sched, mq, r);
+      ReportRun(sched, mq, r);
       if (!r.conservation_error.empty()) {
         conservation_ok = false;
         std::printf("  !! token conservation: %s\n",
                     r.conservation_error.c_str());
       }
       const CloudGroupOutcome* gold = r.Group("gold");
-      if (gold != nullptr) {
-        if (kind == SchedKind::kSplitToken && !mq) {
-          if (gold->violating_tenants == 0) {
-            split_holds = true;
-          }
-          if (gold->burn_alert_windows == 0) {
-            split_burn_clean = true;
-          }
+      if (gold != nullptr && !mq) {
+        if (std::strcmp(sched, SchedName(SchedKind::kSplitToken)) == 0) {
+          split_holds = gold->violating_tenants == 0;
+          split_burn_clean = gold->burn_alert_windows == 0;
         }
-        if (kind == SchedKind::kCfq && !mq) {
-          if (gold->violating_tenants > 0) {
-            cfq_breaks = true;
-          }
-          if (gold->burn_alert_windows > 0) {
-            cfq_burns = true;
-          }
+        if (std::strcmp(sched, SchedName(SchedKind::kCfq)) == 0) {
+          cfq_breaks = gold->violating_tenants > 0;
+          cfq_burns = gold->burn_alert_windows > 0;
         }
-      }
-    }
-    // Hybrid composed policies: deadline dispatch over hierarchical tokens,
-    // and account-keyed AFQ — same mix, same admission path.
-    for (const char* spec_name : {"deadline-token", "tenant-afq"}) {
-      CloudBackendResult r = RunOneSpec(spec_name, mq, tenants);
-      PrintRow(spec_name, mq, r);
-      ReportRun(spec_name, mq, r);
-      if (!r.conservation_error.empty()) {
-        conservation_ok = false;
-        std::printf("  !! token conservation: %s\n",
-                    r.conservation_error.c_str());
       }
     }
   }
@@ -184,7 +155,6 @@ int main(int argc, char** argv) {
     StackCounterScope scope("split-token/reject");
     CloudBackendParams p;
     p.tenants = tenants;
-    p.sched = SchedKind::kSplitToken;
     p.admission_reject = true;
     CloudBackendResult r = RunCloudBackend(p);
     std::printf("%-15s %-7s %8s %10s %10s %5s %10s %8s %8llu %8llu\n",

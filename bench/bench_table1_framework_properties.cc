@@ -20,7 +20,8 @@ namespace {
 bool ProbeCauseMapping(bool split_view) {
   Simulator sim;
   BundleOptions opt;
-  Bundle b = MakeBundle(split_view ? SchedKind::kSplitNoop : SchedKind::kNoop,
+  Bundle b = MakeBundle(SpecForKind(split_view ? SchedKind::kSplitNoop
+                                               : SchedKind::kNoop),
                         std::move(opt));
   Process* app = b.stack->NewProcess("app");
   bool attributed = false;
@@ -58,7 +59,7 @@ bool ProbeCostEstimation(bool syscall_only) {
   }
   Simulator sim;
   BundleOptions opt;
-  Bundle b = MakeBundle(SchedKind::kSplitNoop, std::move(opt));
+  Bundle b = MakeBundle(SplitNoopSpec(), std::move(opt));
   Process* app = b.stack->NewProcess("app");
   Nanos disk_time_cached = 0;
   Nanos disk_time_random = 0;
@@ -89,11 +90,14 @@ double ProbeReordering(SchedKind kind) {
   auto run = [&](bool with_b) {
     Simulator sim;
     BundleOptions opt;
+    PolicySpec spec = SpecForKind(kind);
     if (kind == SchedKind::kSplitDeadline) {
-      opt.split_deadline.own_writeback = true;
+      SplitDeadlineConfig deadline;
+      deadline.own_writeback = true;
+      spec = SplitDeadlineSpec(deadline);
       opt.stack.cache.writeback_daemon = false;
     }
-    Bundle b = MakeBundle(kind, std::move(opt));
+    Bundle b = MakeBundle(spec, std::move(opt));
     Process* a = b.stack->NewProcess("A");
     Process* bp = b.stack->NewProcess("B");
     Nanos latency = 0;

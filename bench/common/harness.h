@@ -19,38 +19,24 @@
 
 namespace splitio {
 
-// A stack plus the typed pointers benches need to poke schedulers.
+// A stack plus the scheduler benches poke (token limits, probes).
 struct Bundle {
   std::unique_ptr<CpuModel> cpu;
   std::unique_ptr<StorageStack> stack;
-  SplitTokenScheduler* split_token = nullptr;
-  ScsTokenScheduler* scs_token = nullptr;
-  SplitDeadlineScheduler* split_deadline = nullptr;
+  ComposedScheduler* composed = nullptr;  // null for a legacy elevator
 };
 
 struct BundleOptions {
   int cores = 8;
   StackConfig stack;
-  BlockDeadlineConfig block_deadline;
-  SplitDeadlineConfig split_deadline;
-  SplitTokenConfig split_token;
-  ScsTokenConfig scs_token;
-  CfqConfig cfq;
 };
 
-inline Bundle MakeBundle(SchedKind kind, BundleOptions opt = BundleOptions()) {
+inline Bundle MakeBundle(const PolicySpec& spec,
+                         BundleOptions opt = BundleOptions()) {
   Bundle b;
   b.cpu = std::make_unique<CpuModel>(opt.cores);
-  SchedConfigs configs;
-  configs.block_deadline = opt.block_deadline;
-  configs.split_deadline = opt.split_deadline;
-  configs.split_token = opt.split_token;
-  configs.scs_token = opt.scs_token;
-  configs.cfq = opt.cfq;
-  SchedInstance inst = MakeSched(kind, configs);
-  b.split_token = dynamic_cast<SplitTokenScheduler*>(inst.split.get());
-  b.scs_token = dynamic_cast<ScsTokenScheduler*>(inst.split.get());
-  b.split_deadline = dynamic_cast<SplitDeadlineScheduler*>(inst.split.get());
+  SchedInstance inst = MakeSched(spec);
+  b.composed = inst.split.get();
   b.stack = std::make_unique<StorageStack>(opt.stack, b.cpu.get(),
                                            std::move(inst.split),
                                            std::move(inst.legacy));
@@ -64,7 +50,7 @@ inline Bundle MakeBundle(SchedKind kind, BundleOptions opt = BundleOptions()) {
 // per_stack object attributes counter activity to that scheduler:
 //
 //   { StackCounterScope scope(SchedName(kind));
-//     Bundle b = MakeBundle(kind, opt); ... run ... }
+//     Bundle b = MakeBundle(SpecForKind(kind), opt); ... run ... }
 //
 // The scope also pushes `label` onto the trace label registry, so when the
 // binary runs with --trace every event (and span) emitted inside it is

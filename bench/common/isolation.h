@@ -66,12 +66,9 @@ inline IsolationResult RunIsolation(const IsolationParams& params) {
   Simulator sim;
   BundleOptions opt;
   opt.stack.fs = params.fs;
-  Bundle b = MakeBundle(params.sched, std::move(opt));
-  if (b.split_token != nullptr) {
-    b.split_token->SetAccountLimit(1, params.b_rate);
-  }
-  if (b.scs_token != nullptr) {
-    b.scs_token->SetAccountLimit(1, params.b_rate);
+  Bundle b = MakeBundle(SpecForKind(params.sched), std::move(opt));
+  if (b.composed != nullptr && b.composed->has_token_budget()) {
+    b.composed->SetAccountLimit(1, params.b_rate);
   }
 
   Process* a = b.stack->NewProcess("A");

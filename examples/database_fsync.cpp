@@ -13,7 +13,7 @@
 #include "src/apps/waldb.h"
 #include "src/block/block_deadline.h"
 #include "src/core/storage_stack.h"
-#include "src/sched/split_deadline.h"
+#include "src/sched/composed.h"
 #include "src/sim/simulator.h"
 
 using namespace splitio;
@@ -30,7 +30,8 @@ void RunOnce(bool use_split) {
     sd.own_writeback = true;           // scheduler controls writeback
     config.cache.writeback_daemon = false;
     stack = std::make_unique<StorageStack>(
-        config, &cpu, std::make_unique<SplitDeadlineScheduler>(sd), nullptr);
+        config, &cpu,
+        std::make_unique<ComposedScheduler>(SplitDeadlineSpec(sd)), nullptr);
   } else {
     stack = std::make_unique<StorageStack>(
         config, &cpu, nullptr, std::make_unique<BlockDeadlineElevator>());

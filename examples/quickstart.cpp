@@ -8,7 +8,7 @@
 #include <memory>
 
 #include "src/core/storage_stack.h"
-#include "src/sched/split_token.h"
+#include "src/sched/composed.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workloads.h"
 
@@ -23,8 +23,8 @@ int main() {
   // three levels (system call, memory, block).
   StackConfig config;
   CpuModel cpu(8);
-  auto sched = std::make_unique<SplitTokenScheduler>();
-  SplitTokenScheduler* token = sched.get();
+  auto sched = std::make_unique<ComposedScheduler>(SplitTokenSpec());
+  ComposedScheduler* token = sched.get();
   token->SetAccountLimit(/*account=*/1, /*bytes_per_sec=*/5.0 * 1024 * 1024);
   StorageStack stack(config, &cpu, std::move(sched), /*legacy=*/nullptr);
   stack.Start();

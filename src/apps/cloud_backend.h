@@ -35,10 +35,9 @@ namespace splitio {
 
 struct CloudBackendParams {
   int tenants = 1000;
-  SchedKind sched = SchedKind::kSplitToken;
-  // Non-empty: run a registered PolicySpec (e.g. "deadline-token") instead
-  // of `sched`. Must name a NamedPolicySpec entry.
-  std::string spec_name;
+  // A registered scheduler name (canonical or hybrid, see
+  // AllPolicySpecNames).
+  std::string sched = SchedName(SchedKind::kSplitToken);
   bool mq = false;  // multi-queue block layer (4 hw contexts, depth 16)
   uint64_t seed = 1;
   Nanos duration = Sec(20);

@@ -1,96 +1,10 @@
 #include "src/core/sched_factory.h"
 
-#include <cstring>
-
+#include "src/block/block_deadline.h"
+#include "src/block/cfq.h"
 #include "src/block/noop.h"
-#include "src/sched/afq.h"
-#include "src/sched/composed.h"
-#include "src/sched/split_noop.h"
 
 namespace splitio {
-
-const char* SchedName(SchedKind kind) {
-  switch (kind) {
-    case SchedKind::kNoop: return "block-noop";
-    case SchedKind::kCfq: return "cfq";
-    case SchedKind::kBlockDeadline: return "block-deadline";
-    case SchedKind::kSplitNoop: return "split-noop";
-    case SchedKind::kAfq: return "afq";
-    case SchedKind::kSplitDeadline: return "split-deadline";
-    case SchedKind::kSplitToken: return "split-token";
-    case SchedKind::kScsToken: return "scs-token";
-  }
-  return "?";
-}
-
-bool SchedKindFromName(const char* name, SchedKind* out) {
-  for (SchedKind kind : kAllSchedKinds) {
-    if (std::strcmp(name, SchedName(kind)) == 0) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::string UnknownSchedMessage(const std::string& token) {
-  std::string msg = "unknown scheduler \"" + token + "\" (expected one of";
-  for (const std::string& name : AllPolicySpecNames()) {
-    msg += ' ';
-    msg += name;
-  }
-  msg += ')';
-  return msg;
-}
-
-PolicySpec SpecForKind(SchedKind kind, const SchedConfigs& configs) {
-  switch (kind) {
-    case SchedKind::kNoop: return BlockNoopSpec();
-    case SchedKind::kCfq: return CfqSpec(configs.cfq);
-    case SchedKind::kBlockDeadline:
-      return BlockDeadlineSpec(configs.block_deadline);
-    case SchedKind::kSplitNoop: return SplitNoopSpec();
-    case SchedKind::kAfq: return AfqSpec(configs.afq);
-    case SchedKind::kSplitDeadline:
-      return SplitDeadlineSpec(configs.split_deadline);
-    case SchedKind::kSplitToken: return SplitTokenSpec(configs.split_token);
-    case SchedKind::kScsToken: return ScsTokenSpec(configs.scs_token);
-  }
-  return BlockNoopSpec();
-}
-
-SchedInstance MakeSched(SchedKind kind, const SchedConfigs& configs) {
-  SchedInstance out;
-  switch (kind) {
-    case SchedKind::kNoop:
-      out.legacy = std::make_unique<NoopElevator>();
-      break;
-    case SchedKind::kCfq:
-      out.legacy = std::make_unique<CfqElevator>(configs.cfq);
-      break;
-    case SchedKind::kBlockDeadline:
-      out.legacy =
-          std::make_unique<BlockDeadlineElevator>(configs.block_deadline);
-      break;
-    case SchedKind::kSplitNoop:
-      out.split = std::make_unique<SplitNoopScheduler>();
-      break;
-    case SchedKind::kAfq:
-      out.split = std::make_unique<AfqScheduler>(configs.afq);
-      break;
-    case SchedKind::kSplitDeadline:
-      out.split =
-          std::make_unique<SplitDeadlineScheduler>(configs.split_deadline);
-      break;
-    case SchedKind::kSplitToken:
-      out.split = std::make_unique<SplitTokenScheduler>(configs.split_token);
-      break;
-    case SchedKind::kScsToken:
-      out.split = std::make_unique<ScsTokenScheduler>(configs.scs_token);
-      break;
-  }
-  return out;
-}
 
 SchedInstance MakeSched(const PolicySpec& spec) {
   SchedInstance out;

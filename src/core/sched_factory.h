@@ -1,84 +1,33 @@
-// Scheduler factory: the one place that knows how to construct each of the
-// eight schedulers the experiments compare — and, since the policy-space
-// refactor, any declarative PolicySpec. The bench harness, the stress
-// subsystem, and tests all build stacks through this, so "all schedulers"
-// means the same set everywhere.
+// Scheduler factory: MakeSched(spec) is the one constructor of a scheduler.
+// The bench harness, the stress subsystem, the apps and the tests all build
+// stacks through it, so "all schedulers" means the registry's set
+// (src/sched/policy.h) everywhere.
 #ifndef SRC_CORE_SCHED_FACTORY_H_
 #define SRC_CORE_SCHED_FACTORY_H_
 
 #include <memory>
-#include <string>
 
-#include "src/block/block_deadline.h"
-#include "src/block/cfq.h"
 #include "src/block/elevator.h"
-#include "src/core/scheduler.h"
+#include "src/sched/composed.h"
 #include "src/sched/policy.h"
-#include "src/sched/scs_token.h"
-#include "src/sched/split_deadline.h"
-#include "src/sched/split_token.h"
 
 namespace splitio {
-
-enum class SchedKind {
-  kNoop,
-  kCfq,
-  kBlockDeadline,
-  kSplitNoop,
-  kAfq,
-  kSplitDeadline,
-  kSplitToken,
-  kScsToken,
-};
-
-inline constexpr SchedKind kAllSchedKinds[] = {
-    SchedKind::kNoop,          SchedKind::kCfq,
-    SchedKind::kBlockDeadline, SchedKind::kSplitNoop,
-    SchedKind::kAfq,           SchedKind::kSplitDeadline,
-    SchedKind::kSplitToken,    SchedKind::kScsToken,
-};
-
-const char* SchedName(SchedKind kind);
-
-// Parses a SchedName() string. Returns false on an unknown name.
-bool SchedKindFromName(const char* name, SchedKind* out);
-
-// The shared unknown-scheduler diagnostic: names the offending token and
-// lists every accepted name (the eight kinds plus the registered hybrid
-// specs). Used by the scenario parser, stress_runner --sched, and
-// sched_search so all three report the same message.
-std::string UnknownSchedMessage(const std::string& token);
-
-// Per-scheduler tuning knobs, all defaulted.
-struct SchedConfigs {
-  BlockDeadlineConfig block_deadline;
-  SplitDeadlineConfig split_deadline;
-  SplitTokenConfig split_token;
-  ScsTokenConfig scs_token;
-  CfqConfig cfq;
-  AfqConfig afq;
-};
-
-// The canonical PolicySpec for a SchedKind: MakeSched(kind, configs) and
-// MakeSched(SpecForKind(kind, configs)) produce byte-identical schedules
-// (the policy_equivalence ctest proves it).
-PolicySpec SpecForKind(SchedKind kind,
-                       const SchedConfigs& configs = SchedConfigs());
 
 // Exactly one member is non-null — matching StorageStack's constructor
 // contract (split scheduler vs legacy block-only elevator).
 struct SchedInstance {
-  std::unique_ptr<SplitScheduler> split;
+  std::unique_ptr<ComposedScheduler> split;
   std::unique_ptr<Elevator> legacy;
 };
-
-SchedInstance MakeSched(SchedKind kind,
-                        const SchedConfigs& configs = SchedConfigs());
 
 // Builds a scheduler from a declarative spec: a legacy elevator for the
 // legacy dispatch kinds, a ComposedScheduler otherwise. The spec must pass
 // ValidateSpec.
 SchedInstance MakeSched(const PolicySpec& spec);
+
+inline SchedInstance MakeSched(SchedKind kind) {
+  return MakeSched(SpecForKind(kind));
+}
 
 }  // namespace splitio
 

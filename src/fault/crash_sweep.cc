@@ -3,31 +3,14 @@
 #include <algorithm>
 #include <memory>
 
-#include "src/block/block_deadline.h"
-#include "src/block/cfq.h"
-#include "src/block/noop.h"
+#include "src/core/sched_factory.h"
 #include "src/core/storage_stack.h"
 #include "src/fault/crash_monitor.h"
 #include "src/fault/fault_injector.h"
-#include "src/sched/afq.h"
-#include "src/sched/split_deadline.h"
-#include "src/sched/split_token.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 
 namespace splitio {
-
-const char* CrashSweepSchedName(CrashSweepOptions::Sched sched) {
-  switch (sched) {
-    case CrashSweepOptions::Sched::kNoop: return "block-noop";
-    case CrashSweepOptions::Sched::kCfq: return "cfq";
-    case CrashSweepOptions::Sched::kBlockDeadline: return "block-deadline";
-    case CrashSweepOptions::Sched::kAfq: return "afq";
-    case CrashSweepOptions::Sched::kSplitDeadline: return "split-deadline";
-    case CrashSweepOptions::Sched::kSplitToken: return "split-token";
-  }
-  return "?";
-}
 
 std::string CrashSweepResult::FirstViolation() const {
   for (const CrashReport& report : reports) {
@@ -145,29 +128,9 @@ CrashSweepResult RunCrashSweep(const CrashSweepOptions& options) {
   config.hdd.flush_latency = Usec(500);
   config.ssd.flush_latency = Usec(100);
 
-  std::unique_ptr<SplitScheduler> sched;
-  std::unique_ptr<Elevator> legacy;
-  switch (options.sched) {
-    case CrashSweepOptions::Sched::kNoop:
-      legacy = std::make_unique<NoopElevator>();
-      break;
-    case CrashSweepOptions::Sched::kCfq:
-      legacy = std::make_unique<CfqElevator>(CfqConfig());
-      break;
-    case CrashSweepOptions::Sched::kBlockDeadline:
-      legacy = std::make_unique<BlockDeadlineElevator>(BlockDeadlineConfig());
-      break;
-    case CrashSweepOptions::Sched::kAfq:
-      sched = std::make_unique<AfqScheduler>();
-      break;
-    case CrashSweepOptions::Sched::kSplitDeadline:
-      sched = std::make_unique<SplitDeadlineScheduler>(SplitDeadlineConfig());
-      break;
-    case CrashSweepOptions::Sched::kSplitToken:
-      sched = std::make_unique<SplitTokenScheduler>(SplitTokenConfig());
-      break;
-  }
-  StorageStack stack(config, &cpu, std::move(sched), std::move(legacy));
+  SchedInstance sched = MakeSched(options.sched);
+  StorageStack stack(config, &cpu, std::move(sched.split),
+                     std::move(sched.legacy));
 
   FaultConfig fault_config;
   fault_config.seed = options.seed;

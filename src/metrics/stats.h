@@ -120,18 +120,6 @@ class ThroughputMeter {
   uint64_t bytes_ = 0;
 };
 
-// (time, value) series, e.g. throughput sampled once per simulated second.
-class TimeSeries {
- public:
-  void Add(Nanos t, double value) { points_.emplace_back(t, value); }
-  const std::vector<std::pair<Nanos, double>>& points() const {
-    return points_;
-  }
-
- private:
-  std::vector<std::pair<Nanos, double>> points_;
-};
-
 // Summary statistics over a set of values.
 struct Summary {
   double mean = 0;

@@ -2,13 +2,11 @@
 // routing the framework's hooks into the policy-primitive engines
 // (engines.h) the spec's axes select.
 //
-// Each of the eight historical scheduler classes is now a one-line subclass
-// passing its canonical spec (SpecForKind); hybrids the monoliths could not
-// express — deadline dispatch over token budgets, stride fair queuing
-// between tenant accounts — are just different specs. For a canonical spec
-// exactly one engine engages and the hook routing collapses to a direct
-// call into it, so schedules (and, for the alloc-pinned figure benches,
-// allocation counts) are byte-identical to the old classes.
+// Every split-level scheduler is a ComposedScheduler over its spec: the
+// canonical ones (SpecForKind) and the hybrids — deadline dispatch over
+// token budgets, stride fair queuing between tenant accounts — alike. For
+// a canonical spec exactly one engine engages and the hook routing
+// collapses to a direct call into it.
 #ifndef SRC_SCHED_COMPOSED_H_
 #define SRC_SCHED_COMPOSED_H_
 

@@ -1,13 +1,11 @@
-// Policy-primitive engines: the mechanism halves of the historical
-// scheduler classes, factored out so ComposedScheduler (composed.h) can mix
-// them per PolicySpec axis.
+// Policy-primitive engines: the mechanisms the PolicySpec axes select,
+// mixed per spec by ComposedScheduler (composed.h).
 //
-// Each engine is a plain struct-like class (no virtual hooks): it holds the
-// exact state and logic its monolithic ancestor had, and the composed
-// scheduler routes SplitScheduler hooks into it. The bodies are verbatim
-// extractions — src/sched/{afq,split_deadline,split_token,scs_token}.cc
-// moved here, not rewritten — because the figure benches pin byte-identical
-// schedules (tests/benchjson_baseline/) against the old classes.
+// Each engine is a plain struct-like class (no virtual hooks) holding one
+// mechanism's state and logic; the composed scheduler routes SplitScheduler
+// hooks into it. The figure benches pin their schedules byte for byte
+// (tests/benchjson_baseline/), so a change here that alters a decision
+// shows up there.
 //
 //   DeadlineEngine  fsync-deadline admission, read deadlines, urgent fsync
 //                   writes, sorted dispatch batches, writeback triggers
@@ -45,7 +43,7 @@ class ReadySink {
 };
 
 // ---------------------------------------------------------------------------
-// DeadlineEngine (from SplitDeadlineScheduler).
+// DeadlineEngine: dispatch=deadline and its writeback modes (split-deadline).
 // ---------------------------------------------------------------------------
 class DeadlineEngine {
  public:
@@ -103,10 +101,10 @@ class DeadlineEngine {
 };
 
 // ---------------------------------------------------------------------------
-// StrideEngine (from AfqScheduler).
+// StrideEngine: dispatch=stride, budget=stride-pass (afq, tenant-afq).
 //
 // Queues and passes are keyed by *client*: the submitting pid under
-// QueueKey::kPid (byte-identical to the old AfqScheduler), or the token
+// QueueKey::kPid (afq), or the token
 // account under QueueKey::kAccount (tenant-afq hybrid). Account clients map
 // to ids <= -2 (client = -2 - account) so they can never collide with pids
 // (>= 0) or the anonymous no-submitter queue (-1).
@@ -193,7 +191,7 @@ class StrideEngine {
 };
 
 // ---------------------------------------------------------------------------
-// TokenEngine (from SplitTokenScheduler).
+// TokenEngine: budget=hier-tokens (split-token, deadline-token).
 // ---------------------------------------------------------------------------
 class TokenEngine {
  public:
@@ -243,7 +241,7 @@ class TokenEngine {
 };
 
 // ---------------------------------------------------------------------------
-// ScsEngine (from ScsTokenScheduler).
+// ScsEngine: budget=syscall-tokens (scs-token).
 // ---------------------------------------------------------------------------
 class ScsEngine {
  public:

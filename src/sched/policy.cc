@@ -1,6 +1,8 @@
 #include "src/sched/policy.h"
 
+#include <array>
 #include <cstdio>
+#include <cstring>
 
 #include "src/sim/random.h"
 #include "src/workload/json_mini.h"
@@ -113,135 +115,154 @@ bool ParseIntField(Cursor& c, int* out) {
   return true;
 }
 
-}  // namespace
+// The registry: every named scheduler and the axes of its spec (configs
+// default). The canonical schedulers come first, in SchedKind order; the
+// hybrids after them combine axes no canonical scheduler does —
+// fsync-deadline dispatch over hierarchical token budgets, and stride fair
+// queuing between tenant accounts instead of processes.
+struct Registered {
+  const char* name;
+  TagRule tag;
+  DispatchKind dispatch;
+  QueueKey key;
+  BudgetKind budget;
+  WritebackKind writeback;
+};
 
-// ---------------------------------------------------------------------------
-// Builders.
-// ---------------------------------------------------------------------------
+constexpr Registered kRegistry[] = {
+    {"block-noop", TagRule::kNone, DispatchKind::kLegacyNoop, QueueKey::kPid,
+     BudgetKind::kNone, WritebackKind::kDaemon},
+    {"cfq", TagRule::kNone, DispatchKind::kLegacyCfq, QueueKey::kPid,
+     BudgetKind::kNone, WritebackKind::kDaemon},
+    {"block-deadline", TagRule::kNone, DispatchKind::kLegacyDeadline,
+     QueueKey::kPid, BudgetKind::kNone, WritebackKind::kDaemon},
+    {"split-noop", TagRule::kCount, DispatchKind::kFifo, QueueKey::kPid,
+     BudgetKind::kNone, WritebackKind::kDaemon},
+    {"afq", TagRule::kCauses, DispatchKind::kStride, QueueKey::kPid,
+     BudgetKind::kStridePass, WritebackKind::kDaemon},
+    {"split-deadline", TagRule::kNone, DispatchKind::kDeadline, QueueKey::kPid,
+     BudgetKind::kNone, WritebackKind::kPdflushCapped},
+    {"split-token", TagRule::kCauses, DispatchKind::kFifo, QueueKey::kPid,
+     BudgetKind::kHierTokens, WritebackKind::kDaemon},
+    {"scs-token", TagRule::kNone, DispatchKind::kFifo, QueueKey::kPid,
+     BudgetKind::kSyscallTokens, WritebackKind::kDaemon},
+    {"deadline-token", TagRule::kCauses, DispatchKind::kDeadline,
+     QueueKey::kPid, BudgetKind::kHierTokens, WritebackKind::kPdflushCapped},
+    {"tenant-afq", TagRule::kCauses, DispatchKind::kStride, QueueKey::kAccount,
+     BudgetKind::kStridePass, WritebackKind::kDaemon},
+};
 
-PolicySpec BlockNoopSpec() {
+constexpr auto kRegistryNames = [] {
+  std::array<const char*, std::size(kRegistry)> names{};
+  for (size_t i = 0; i < names.size(); ++i) {
+    names[i] = kRegistry[i].name;
+  }
+  return names;
+}();
+
+PolicySpec RegisteredSpec(size_t row) {
+  const Registered& r = kRegistry[row];
   PolicySpec spec;
-  spec.name = "block-noop";
-  spec.dispatch = DispatchKind::kLegacyNoop;
+  spec.name = r.name;
+  spec.tag = r.tag;
+  spec.dispatch = r.dispatch;
+  spec.key = r.key;
+  spec.budget = r.budget;
+  spec.writeback = r.writeback;
   return spec;
 }
 
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Registry lookups and builders.
+// ---------------------------------------------------------------------------
+
+std::span<const char* const> AllPolicySpecNames() { return kRegistryNames; }
+
+const char* SchedName(SchedKind kind) {
+  return kRegistry[static_cast<size_t>(kind)].name;
+}
+
+bool SchedKindFromName(const char* name, SchedKind* out) {
+  for (SchedKind kind : kAllSchedKinds) {
+    if (std::strcmp(name, SchedName(kind)) == 0) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
+}
+
+PolicySpec SpecForKind(SchedKind kind) {
+  return RegisteredSpec(static_cast<size_t>(kind));
+}
+
+bool NamedPolicySpec(const std::string& name, PolicySpec* out) {
+  for (size_t row = 0; row < std::size(kRegistry); ++row) {
+    if (name == kRegistry[row].name) {
+      *out = RegisteredSpec(row);
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string UnknownSchedMessage(const std::string& token, bool kinds_only) {
+  std::span<const char* const> names = AllPolicySpecNames();
+  if (kinds_only) {
+    names = names.first(std::size(kAllSchedKinds));
+  }
+  std::string msg = "unknown scheduler \"" + token + "\" (expected one of";
+  for (const char* name : names) {
+    msg += ' ';
+    msg += name;
+  }
+  msg += ')';
+  return msg;
+}
+
+PolicySpec BlockNoopSpec() { return SpecForKind(SchedKind::kNoop); }
+
 PolicySpec CfqSpec(const CfqConfig& config) {
-  PolicySpec spec;
-  spec.name = "cfq";
-  spec.dispatch = DispatchKind::kLegacyCfq;
+  PolicySpec spec = SpecForKind(SchedKind::kCfq);
   spec.legacy_cfq = config;
   return spec;
 }
 
 PolicySpec BlockDeadlineSpec(const BlockDeadlineConfig& config) {
-  PolicySpec spec;
-  spec.name = "block-deadline";
-  spec.dispatch = DispatchKind::kLegacyDeadline;
+  PolicySpec spec = SpecForKind(SchedKind::kBlockDeadline);
   spec.legacy_deadline = config;
   return spec;
 }
 
-PolicySpec SplitNoopSpec() {
-  PolicySpec spec;
-  spec.name = "split-noop";
-  spec.tag = TagRule::kCount;
-  spec.dispatch = DispatchKind::kFifo;
-  return spec;
-}
+PolicySpec SplitNoopSpec() { return SpecForKind(SchedKind::kSplitNoop); }
 
 PolicySpec AfqSpec(const AfqConfig& config) {
-  PolicySpec spec;
-  spec.name = "afq";
-  spec.tag = TagRule::kCauses;
-  spec.dispatch = DispatchKind::kStride;
-  spec.budget = BudgetKind::kStridePass;
+  PolicySpec spec = SpecForKind(SchedKind::kAfq);
   spec.stride = config;
   return spec;
 }
 
 PolicySpec SplitDeadlineSpec(const SplitDeadlineConfig& config) {
-  PolicySpec spec;
-  spec.name = "split-deadline";
-  spec.dispatch = DispatchKind::kDeadline;
-  spec.writeback = config.own_writeback ? WritebackKind::kSchedOwned
-                                        : WritebackKind::kPdflushCapped;
+  PolicySpec spec = SpecForKind(SchedKind::kSplitDeadline);
+  if (config.own_writeback) {
+    spec.writeback = WritebackKind::kSchedOwned;
+  }
   spec.deadline = config;
   return spec;
 }
 
 PolicySpec SplitTokenSpec(const SplitTokenConfig& config) {
-  PolicySpec spec;
-  spec.name = "split-token";
-  spec.tag = TagRule::kCauses;
-  spec.dispatch = DispatchKind::kFifo;
-  spec.budget = BudgetKind::kHierTokens;
+  PolicySpec spec = SpecForKind(SchedKind::kSplitToken);
   spec.token = config;
   return spec;
 }
 
 PolicySpec ScsTokenSpec(const ScsTokenConfig& config) {
-  PolicySpec spec;
-  spec.name = "scs-token";
-  spec.dispatch = DispatchKind::kFifo;
-  spec.budget = BudgetKind::kSyscallTokens;
+  PolicySpec spec = SpecForKind(SchedKind::kScsToken);
   spec.scs = config;
   return spec;
-}
-
-PolicySpec DeadlineTokenSpec() {
-  PolicySpec spec;
-  spec.name = "deadline-token";
-  spec.tag = TagRule::kCauses;
-  spec.dispatch = DispatchKind::kDeadline;
-  spec.budget = BudgetKind::kHierTokens;
-  spec.writeback = WritebackKind::kPdflushCapped;
-  return spec;
-}
-
-PolicySpec TenantAfqSpec() {
-  PolicySpec spec;
-  spec.name = "tenant-afq";
-  spec.tag = TagRule::kCauses;
-  spec.dispatch = DispatchKind::kStride;
-  spec.key = QueueKey::kAccount;
-  spec.budget = BudgetKind::kStridePass;
-  return spec;
-}
-
-const std::vector<std::string>& AllPolicySpecNames() {
-  static const std::vector<std::string> names = {
-      "block-noop", "cfq",         "block-deadline", "split-noop",
-      "afq",        "split-deadline", "split-token",  "scs-token",
-      "deadline-token", "tenant-afq"};
-  return names;
-}
-
-bool NamedPolicySpec(const std::string& name, PolicySpec* out) {
-  if (name == "block-noop") {
-    *out = BlockNoopSpec();
-  } else if (name == "cfq") {
-    *out = CfqSpec();
-  } else if (name == "block-deadline") {
-    *out = BlockDeadlineSpec();
-  } else if (name == "split-noop") {
-    *out = SplitNoopSpec();
-  } else if (name == "afq") {
-    *out = AfqSpec();
-  } else if (name == "split-deadline") {
-    *out = SplitDeadlineSpec();
-  } else if (name == "split-token") {
-    *out = SplitTokenSpec();
-  } else if (name == "scs-token") {
-    *out = ScsTokenSpec();
-  } else if (name == "deadline-token") {
-    *out = DeadlineTokenSpec();
-  } else if (name == "tenant-afq") {
-    *out = TenantAfqSpec();
-  } else {
-    return false;
-  }
-  return true;
 }
 
 std::string ValidateSpec(const PolicySpec& spec) {

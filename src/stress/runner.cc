@@ -30,15 +30,13 @@ OracleOptions ReducedOptions(const std::string& oracle,
 
 // Applies runner-level overrides to a generated scenario.
 void ApplyOverrides(const StressOptions& options, Scenario* scenario) {
-  if (options.pin_spec) {
-    scenario->stack.use_spec = true;
-    scenario->stack.spec = options.pinned_spec;
-  } else if (options.pin_sched) {
-    scenario->stack.sched = options.pinned_sched;
+  if (!options.pin_sched.empty()) {
     // A kind pin overrides a generated random spec, not just the kind the
     // spec would otherwise shadow.
-    scenario->stack.use_spec = false;
     scenario->stack.spec = PolicySpec();
+    scenario->stack.use_spec =
+        !SchedKindFromName(options.pin_sched.c_str(), &scenario->stack.sched) &&
+        NamedPolicySpec(options.pin_sched, &scenario->stack.spec);
   }
   if (options.force_control != NegativeControl::kNone) {
     scenario->stack.control = options.force_control;
@@ -322,10 +320,10 @@ bool ReproFromJson(const std::string& json, StressFailure* out,
       jsonmini::ParseError serr;
       ok = ScenarioFromJson(std::string(start, c.p), &out->scenario, &serr);
       if (!ok) {
-        // Re-anchor the sub-parse's offset onto the enclosing document.
-        c.failed = true;
-        c.err_offset = static_cast<size_t>(start - c.begin) + serr.offset;
-        c.err_message = "bad scenario";
+        // Re-anchor the sub-parse's offset onto the enclosing document,
+        // keeping its message (it names the offending token).
+        c.FailAt(static_cast<size_t>(start - c.begin) + serr.offset,
+                 "bad scenario: " + serr.message);
       }
     } else {
       ok = SkipValue(c);

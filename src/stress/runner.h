@@ -29,13 +29,11 @@ struct StressOptions {
   // testing of the oracles themselves). kSkipPreflush implies crash mode on
   // an ext4 stack — the runner adjusts the scenario accordingly.
   NegativeControl force_control = NegativeControl::kNone;
-  // Pin every scenario to one scheduler (axis-focused campaigns). Either a
-  // canonical kind or a registered PolicySpec (e.g. a hybrid like
-  // "deadline-token"); the spec pin wins when both are set.
-  bool pin_sched = false;
-  SchedKind pinned_sched = SchedKind::kNoop;
-  bool pin_spec = false;
-  PolicySpec pinned_spec;
+  // Pin every scenario to one registered scheduler (axis-focused
+  // campaigns): a canonical name pins the scenario's kind, a hybrid name
+  // (e.g. "deadline-token") its spec. Empty: no pin. Callers check the
+  // name against the registry (stress_runner --sched does).
+  std::string pin_sched;
   bool verbose = false;  // per-seed progress lines on the log stream
   // Worker threads for the seed loop. 1 = the classic sequential path.
   // With jobs > 1, seeds are evaluated concurrently (each simulation is

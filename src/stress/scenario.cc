@@ -245,7 +245,8 @@ bool ParseStackObject(Cursor& c, StressStackConfig* out) {
       if (ok && !SchedKindFromName(name.c_str(), &out->sched)) {
         // Same error contract as the trace parsers: name the offending
         // token and where it sits — never fall back silently.
-        ok = c.FailAt(token_offset, UnknownSchedMessage(name));
+        ok = c.FailAt(token_offset,
+                      UnknownSchedMessage(name, /*kinds_only=*/true));
       }
     } else if (key == "spec") {
       ok = ParsePolicySpec(c, &out->spec);

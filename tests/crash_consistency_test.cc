@@ -9,9 +9,8 @@
 namespace splitio {
 namespace {
 
-using Sched = CrashSweepOptions::Sched;
 
-CrashSweepOptions Base(Sched sched, bool xfs) {
+CrashSweepOptions Base(SchedKind sched, bool xfs) {
   CrashSweepOptions options;
   options.sched = sched;
   options.xfs = xfs;
@@ -24,7 +23,7 @@ CrashSweepOptions Base(Sched sched, bool xfs) {
 
 void ExpectClean(const CrashSweepOptions& options) {
   CrashSweepResult result = RunCrashSweep(options);
-  SCOPED_TRACE(std::string(CrashSweepSchedName(options.sched)) +
+  SCOPED_TRACE(std::string(SchedName(options.sched)) +
                (options.xfs ? "/xfs" : "/ext4"));
   EXPECT_GT(result.crash_points, 0u);
   EXPECT_GT(result.wal_acked_ok, 0u);
@@ -36,29 +35,33 @@ void ExpectClean(const CrashSweepOptions& options) {
   EXPECT_TRUE(result.ok()) << result.FirstViolation();
 }
 
-TEST(CrashSweep, SplitTokenExt4) { ExpectClean(Base(Sched::kSplitToken, false)); }
-TEST(CrashSweep, SplitTokenXfs) { ExpectClean(Base(Sched::kSplitToken, true)); }
+TEST(CrashSweep, SplitTokenExt4) {
+  ExpectClean(Base(SchedKind::kSplitToken, false));
+}
+TEST(CrashSweep, SplitTokenXfs) {
+  ExpectClean(Base(SchedKind::kSplitToken, true));
+}
 TEST(CrashSweep, SplitDeadlineExt4) {
-  ExpectClean(Base(Sched::kSplitDeadline, false));
+  ExpectClean(Base(SchedKind::kSplitDeadline, false));
 }
 TEST(CrashSweep, SplitDeadlineXfs) {
-  ExpectClean(Base(Sched::kSplitDeadline, true));
+  ExpectClean(Base(SchedKind::kSplitDeadline, true));
 }
-TEST(CrashSweep, AfqExt4) { ExpectClean(Base(Sched::kAfq, false)); }
-TEST(CrashSweep, AfqXfs) { ExpectClean(Base(Sched::kAfq, true)); }
-TEST(CrashSweep, NoopExt4) { ExpectClean(Base(Sched::kNoop, false)); }
-TEST(CrashSweep, NoopXfs) { ExpectClean(Base(Sched::kNoop, true)); }
-TEST(CrashSweep, CfqExt4) { ExpectClean(Base(Sched::kCfq, false)); }
-TEST(CrashSweep, CfqXfs) { ExpectClean(Base(Sched::kCfq, true)); }
+TEST(CrashSweep, AfqExt4) { ExpectClean(Base(SchedKind::kAfq, false)); }
+TEST(CrashSweep, AfqXfs) { ExpectClean(Base(SchedKind::kAfq, true)); }
+TEST(CrashSweep, NoopExt4) { ExpectClean(Base(SchedKind::kNoop, false)); }
+TEST(CrashSweep, NoopXfs) { ExpectClean(Base(SchedKind::kNoop, true)); }
+TEST(CrashSweep, CfqExt4) { ExpectClean(Base(SchedKind::kCfq, false)); }
+TEST(CrashSweep, CfqXfs) { ExpectClean(Base(SchedKind::kCfq, true)); }
 TEST(CrashSweep, BlockDeadlineExt4) {
-  ExpectClean(Base(Sched::kBlockDeadline, false));
+  ExpectClean(Base(SchedKind::kBlockDeadline, false));
 }
 TEST(CrashSweep, BlockDeadlineXfs) {
-  ExpectClean(Base(Sched::kBlockDeadline, true));
+  ExpectClean(Base(SchedKind::kBlockDeadline, true));
 }
 
 TEST(CrashSweep, SplitDeadlineExt4Ssd) {
-  CrashSweepOptions options = Base(Sched::kSplitDeadline, false);
+  CrashSweepOptions options = Base(SchedKind::kSplitDeadline, false);
   options.ssd = true;
   ExpectClean(options);
 }
@@ -73,34 +76,34 @@ CrashSweepOptions WithMq(CrashSweepOptions options, int hw, int depth) {
 }
 
 TEST(CrashSweep, MqSplitTokenExt4Ssd) {
-  CrashSweepOptions options = WithMq(Base(Sched::kSplitToken, false), 2, 4);
+  CrashSweepOptions options = WithMq(Base(SchedKind::kSplitToken, false), 2, 4);
   options.ssd = true;
   ExpectClean(options);
 }
 
 TEST(CrashSweep, MqSplitTokenXfs) {
-  ExpectClean(WithMq(Base(Sched::kSplitToken, true), 2, 4));
+  ExpectClean(WithMq(Base(SchedKind::kSplitToken, true), 2, 4));
 }
 
 TEST(CrashSweep, MqSplitDeadlineExt4) {
-  ExpectClean(WithMq(Base(Sched::kSplitDeadline, false), 4, 8));
+  ExpectClean(WithMq(Base(SchedKind::kSplitDeadline, false), 4, 8));
 }
 
 TEST(CrashSweep, MqSplitDeadlineXfsHddNcq) {
   // HDD with NCQ-style shortest-positioning selection under XFS.
-  ExpectClean(WithMq(Base(Sched::kSplitDeadline, true), 2, 8));
+  ExpectClean(WithMq(Base(SchedKind::kSplitDeadline, true), 2, 8));
 }
 
 TEST(CrashSweep, MqCfqExt4QueueDepth) {
   // Single-queue elevator: collapses to one hardware context, but the
   // device command queue still runs at depth 4.
-  ExpectClean(WithMq(Base(Sched::kCfq, false), 2, 4));
+  ExpectClean(WithMq(Base(SchedKind::kCfq, false), 2, 4));
 }
 
 // Transient EIO + latency spikes running alongside crash exploration: failed
 // fsyncs promise nothing, successful ones must still hold.
 TEST(CrashSweep, ConsistentUnderTransientFaults) {
-  CrashSweepOptions options = Base(Sched::kSplitToken, false);
+  CrashSweepOptions options = Base(SchedKind::kSplitToken, false);
   options.inject_faults = true;
   CrashSweepResult result = RunCrashSweep(options);
   EXPECT_GT(result.faults_injected, 0u);
@@ -111,7 +114,7 @@ TEST(CrashSweep, ConsistentUnderTransientFaults) {
 // flush. The adversarial record-completion crash points must expose a
 // committed transaction whose ordered data never reached media.
 TEST(CrashSweep, MissingPreflushBarrierIsCaught) {
-  CrashSweepOptions options = Base(Sched::kSplitDeadline, false);
+  CrashSweepOptions options = Base(SchedKind::kSplitDeadline, false);
   options.horizon = Sec(8);
   options.record_crash_points = 32;
   options.buggy_skip_preflush = true;
@@ -122,20 +125,20 @@ TEST(CrashSweep, MissingPreflushBarrierIsCaught) {
 // No barriers at all with a volatile write cache: fsync acknowledgments are
 // hollow and the checker must say so, on both file systems.
 TEST(CrashSweep, DisabledBarriersAreCaughtExt4) {
-  CrashSweepOptions options = Base(Sched::kSplitToken, false);
+  CrashSweepOptions options = Base(SchedKind::kSplitToken, false);
   options.durability_barriers = false;
   EXPECT_GT(RunCrashSweep(options).total_violations, 0u);
 }
 
 TEST(CrashSweep, DisabledBarriersAreCaughtXfs) {
-  CrashSweepOptions options = Base(Sched::kAfq, true);
+  CrashSweepOptions options = Base(SchedKind::kAfq, true);
   options.durability_barriers = false;
   EXPECT_GT(RunCrashSweep(options).total_violations, 0u);
 }
 
 // Same options + same seed => bit-identical sweep statistics.
 TEST(CrashSweep, DeterministicForSeed) {
-  CrashSweepOptions options = Base(Sched::kSplitToken, false);
+  CrashSweepOptions options = Base(SchedKind::kSplitToken, false);
   options.inject_faults = true;
   CrashSweepResult a = RunCrashSweep(options);
   CrashSweepResult b = RunCrashSweep(options);

@@ -5,70 +5,26 @@
 #include <memory>
 #include <tuple>
 
-#include "src/block/block_deadline.h"
-#include "src/block/cfq.h"
-#include "src/block/noop.h"
+#include "src/core/sched_factory.h"
 #include "src/core/storage_stack.h"
-#include "src/sched/afq.h"
-#include "src/sched/scs_token.h"
-#include "src/sched/split_deadline.h"
-#include "src/sched/split_noop.h"
-#include "src/sched/split_token.h"
+#include "src/sched/composed.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workloads.h"
 
 namespace splitio {
 namespace {
 
-enum class Sched {
-  kNoop,
-  kCfq,
-  kBlockDeadline,
-  kSplitNoop,
-  kAfq,
-  kSplitDeadline,
-  kSplitToken,
-  kScsToken
-};
-
 struct FullStack {
-  FullStack(Sched sched, StackConfig::FsKind fs,
+  FullStack(SchedKind sched, StackConfig::FsKind fs,
             StackConfig::DeviceKind device) {
     StackConfig config;
     config.fs = fs;
     config.device = device;
     cpu = std::make_unique<CpuModel>(8);
-    std::unique_ptr<SplitScheduler> split;
-    std::unique_ptr<Elevator> legacy;
-    switch (sched) {
-      case Sched::kNoop:
-        legacy = std::make_unique<NoopElevator>();
-        break;
-      case Sched::kCfq:
-        legacy = std::make_unique<CfqElevator>();
-        break;
-      case Sched::kBlockDeadline:
-        legacy = std::make_unique<BlockDeadlineElevator>();
-        break;
-      case Sched::kSplitNoop:
-        split = std::make_unique<SplitNoopScheduler>();
-        break;
-      case Sched::kAfq:
-        split = std::make_unique<AfqScheduler>();
-        break;
-      case Sched::kSplitDeadline:
-        split = std::make_unique<SplitDeadlineScheduler>();
-        break;
-      case Sched::kSplitToken:
-        split = std::make_unique<SplitTokenScheduler>();
-        break;
-      case Sched::kScsToken:
-        split = std::make_unique<ScsTokenScheduler>();
-        break;
-    }
+    SchedInstance inst = MakeSched(sched);
     stack = std::make_unique<StorageStack>(config, cpu.get(),
-                                           std::move(split),
-                                           std::move(legacy));
+                                           std::move(inst.split),
+                                           std::move(inst.legacy));
     stack->Start();
   }
   std::unique_ptr<CpuModel> cpu;
@@ -80,7 +36,8 @@ struct FullStack {
 // no dirty pages remain and the device received at least the data.
 class StackMatrix
     : public ::testing::TestWithParam<
-          std::tuple<Sched, StackConfig::FsKind, StackConfig::DeviceKind>> {};
+          std::tuple<SchedKind, StackConfig::FsKind,
+                     StackConfig::DeviceKind>> {};
 
 TEST_P(StackMatrix, WriteFsyncReadCycleCompletes) {
   auto [sched, fs, device] = GetParam();
@@ -106,10 +63,7 @@ TEST_P(StackMatrix, WriteFsyncReadCycleCompletes) {
 INSTANTIATE_TEST_SUITE_P(
     AllStacks, StackMatrix,
     ::testing::Combine(
-        ::testing::Values(Sched::kNoop, Sched::kCfq, Sched::kBlockDeadline,
-                          Sched::kSplitNoop, Sched::kAfq,
-                          Sched::kSplitDeadline, Sched::kSplitToken,
-                          Sched::kScsToken),
+        ::testing::ValuesIn(kAllSchedKinds),
         ::testing::Values(StackConfig::FsKind::kExt4,
                           StackConfig::FsKind::kXfs),
         ::testing::Values(StackConfig::DeviceKind::kHdd,
@@ -122,7 +76,7 @@ class DeterminismSweep : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(DeterminismSweep, IdenticalAcrossRuns) {
   auto run = [&]() {
     Simulator sim;
-    FullStack h(Sched::kSplitToken, StackConfig::FsKind::kExt4,
+    FullStack h(SchedKind::kSplitToken, StackConfig::FsKind::kExt4,
                 StackConfig::DeviceKind::kHdd);
     Process* p = h.stack->NewProcess("app");
     WorkloadStats stats;
@@ -148,7 +102,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismSweep,
 // bytes freed, across a mixed workload.
 TEST(Conservation, DirtyPagesAreNeverLost) {
   Simulator sim;
-  FullStack h(Sched::kSplitNoop, StackConfig::FsKind::kExt4,
+  FullStack h(SchedKind::kSplitNoop, StackConfig::FsKind::kExt4,
               StackConfig::DeviceKind::kHdd);
   Process* p = h.stack->NewProcess("app");
   auto body = [&]() -> Task<void> {
@@ -171,7 +125,7 @@ TEST(Conservation, DirtyPagesAreNeverLost) {
 // (commit records are ordering-critical).
 TEST(JournalOrdering, CommitsReachDeviceInOrder) {
   Simulator sim;
-  FullStack h(Sched::kSplitDeadline, StackConfig::FsKind::kExt4,
+  FullStack h(SchedKind::kSplitDeadline, StackConfig::FsKind::kExt4,
               StackConfig::DeviceKind::kHdd);
   Process* p = h.stack->NewProcess("app");
   std::vector<uint64_t> journal_sectors;
@@ -206,7 +160,7 @@ TEST_P(RateSweep, ThroughputTracksConfiguredRate) {
   Simulator sim;
   StackConfig config;
   CpuModel cpu(8);
-  auto sched = std::make_unique<SplitTokenScheduler>();
+  auto sched = std::make_unique<ComposedScheduler>(SplitTokenSpec());
   sched->SetAccountLimit(1, rate_mbps * 1024 * 1024);
   StorageStack stack(config, &cpu, std::move(sched), nullptr);
   stack.Start();

@@ -179,15 +179,6 @@ TEST(Summary, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(s.stdev, 0);
 }
 
-TEST(TimeSeries, StoresPoints) {
-  TimeSeries ts;
-  ts.Add(Sec(1), 10.0);
-  ts.Add(Sec(2), 20.0);
-  ASSERT_EQ(ts.points().size(), 2u);
-  EXPECT_EQ(ts.points()[0].first, Sec(1));
-  EXPECT_DOUBLE_EQ(ts.points()[1].second, 20.0);
-}
-
 // ---------------------------------------------------------------------------
 // LogHistogram: the sketch's percentiles must bracket the exact nearest-rank
 // answer from above — never below (a sketch must not mask a tail violation)

@@ -1,6 +1,7 @@
 // PolicySpec unit tests: the registry, validation rules, JSON round-trips
-// (byte-identical re-serialization), the shared unknown-token error path,
-// and the stress scenario's composed-spec axis.
+// (byte-identical re-serialization), the shared unknown-token error path
+// (through the scenario and repro parsers), and the stress scenario's
+// composed-spec axis.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,13 +10,15 @@
 #include "src/core/sched_factory.h"
 #include "src/sched/policy.h"
 #include "src/sim/random.h"
+#include "src/stress/runner.h"
 #include "src/stress/scenario.h"
 
 namespace splitio {
 namespace {
 
 TEST(PolicySpecRegistry, CanonicalKindsThenHybrids) {
-  const std::vector<std::string>& names = AllPolicySpecNames();
+  const std::vector<std::string> names(AllPolicySpecNames().begin(),
+                                       AllPolicySpecNames().end());
   ASSERT_EQ(names.size(), 10u);
   // Canonical kinds first, in SchedKind order; the hybrids close the list.
   for (size_t i = 0; i < std::size(kAllSchedKinds); ++i) {
@@ -45,7 +48,7 @@ TEST(PolicySpecRegistry, SpecForKindMatchesRegistry) {
 TEST(PolicySpecRegistry, UnknownSchedMessageListsEveryName) {
   std::string msg = UnknownSchedMessage("bogus");
   EXPECT_NE(msg.find("unknown scheduler \"bogus\""), std::string::npos) << msg;
-  for (const std::string& name : AllPolicySpecNames()) {
+  for (const char* name : AllPolicySpecNames()) {
     EXPECT_NE(msg.find(name), std::string::npos) << msg;
   }
 }
@@ -86,7 +89,7 @@ TEST(PolicySpecValidate, RejectsInterAxisContradictions) {
 }
 
 TEST(PolicySpecJson, RegisteredSpecsRoundTripByteIdentical) {
-  for (const std::string& name : AllPolicySpecNames()) {
+  for (const char* name : AllPolicySpecNames()) {
     PolicySpec spec;
     ASSERT_TRUE(NamedPolicySpec(name, &spec));
     std::string json = PolicySpecToJson(spec);
@@ -168,19 +171,53 @@ TEST(ScenarioSpec, SpecAxisRoundTripsThroughScenarioJson) {
   EXPECT_GT(found, 0) << "no seed in [1,64] drew the spec axis";
 }
 
+// The scenario's "sched" field takes a canonical kind only, so a hybrid
+// name is rejected too, and the message lists the canonical names alone.
 TEST(ScenarioSpec, UnknownSchedNameReportsTokenAndOffset) {
-  Scenario scenario = GenerateScenario(1);
-  std::string json = ScenarioToJson(scenario);
-  std::string quoted = std::string("\"") + SchedName(scenario.stack.sched) + "\"";
+  for (const std::string bad : {"frob", "deadline-token"}) {
+    Scenario scenario = GenerateScenario(1);
+    std::string json = ScenarioToJson(scenario);
+    std::string quoted =
+        std::string("\"") + SchedName(scenario.stack.sched) + "\"";
+    size_t pos = json.find("\"sched\":" + quoted);
+    ASSERT_NE(pos, std::string::npos);
+    size_t token = pos + 8;  // the value token after the key and colon
+    json.replace(token, quoted.size(), "\"" + bad + "\"");
+
+    Scenario parsed;
+    jsonmini::ParseError err;
+    EXPECT_FALSE(ScenarioFromJson(json, &parsed, &err));
+    EXPECT_EQ(err.message.find("unknown scheduler \"" + bad + "\""), 0u)
+        << err.Describe();
+    EXPECT_EQ(err.offset, token) << err.Describe();
+    std::string canonical = " (expected one of";
+    for (SchedKind kind : kAllSchedKinds) {
+      canonical += std::string(" ") + SchedName(kind);
+    }
+    EXPECT_EQ(err.message.substr(err.message.find(" (")), canonical + ")")
+        << err.Describe();
+  }
+}
+
+// A repro wrapping a bad scenario keeps the scenario parser's message and
+// moves its offset onto the repro document.
+TEST(ScenarioSpec, BadScenarioInReproKeepsMessageAndDocumentOffset) {
+  StressFailure failure;
+  failure.seed = 3;
+  failure.oracle = "completion";
+  failure.scenario = GenerateScenario(1);
+  std::string json = ReproToJson(failure);
+  std::string quoted =
+      std::string("\"") + SchedName(failure.scenario.stack.sched) + "\"";
   size_t pos = json.find("\"sched\":" + quoted);
   ASSERT_NE(pos, std::string::npos);
-  size_t token = pos + 8;  // the value token after the key and colon
-  json.replace(token, quoted.size(), "\"frob\"");
+  size_t token = pos + 8;
+  json.replace(token, quoted.size(), "\"bogus\"");
 
-  Scenario parsed;
+  StressFailure parsed;
   jsonmini::ParseError err;
-  EXPECT_FALSE(ScenarioFromJson(json, &parsed, &err));
-  EXPECT_NE(err.message.find("unknown scheduler \"frob\""), std::string::npos)
+  EXPECT_FALSE(ReproFromJson(json, &parsed, &err));
+  EXPECT_EQ(err.message.find("bad scenario: unknown scheduler \"bogus\""), 0u)
       << err.Describe();
   EXPECT_EQ(err.offset, token) << err.Describe();
 }

@@ -10,9 +10,7 @@
 #include "src/block/cfq.h"
 #include "src/block/noop.h"
 #include "src/core/storage_stack.h"
-#include "src/sched/afq.h"
-#include "src/sched/split_deadline.h"
-#include "src/sched/split_token.h"
+#include "src/sched/composed.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workloads.h"
 
@@ -86,7 +84,7 @@ TEST(SplitDeadlineDetail, ExpiredReadJumpsWrites) {
   Simulator sim;
   SplitDeadlineConfig config;
   config.default_read_deadline = Msec(10);
-  SplitDeadlineScheduler sched(config);
+  ComposedScheduler sched(SplitDeadlineSpec(config));
   Process reader(1, "r");
   Process writer(2, "w");
   // A pile of background writes and one stale read.
@@ -111,7 +109,7 @@ TEST(SplitDeadlineDetail, ExpiredReadJumpsWrites) {
 // Fsync-critical (sync/journal) writes precede background writes.
 TEST(SplitDeadlineDetail, UrgentWritesPrecedeBackground) {
   Simulator sim;
-  SplitDeadlineScheduler sched;
+  ComposedScheduler sched(SplitDeadlineSpec());
   Process wb(9001, "writeback");
   Process app(1, "app");
   for (int i = 0; i < 4; ++i) {
@@ -140,7 +138,7 @@ TEST(SplitDeadlineDetail, FsyncCostTracksFragmentation) {
   StackConfig config;
   config.cache.writeback_daemon = false;
   CpuModel cpu(8);
-  auto sched_owner = std::make_unique<SplitDeadlineScheduler>();
+  auto sched_owner = std::make_unique<ComposedScheduler>(SplitDeadlineSpec());
   StorageStack stack(config, &cpu, std::move(sched_owner), nullptr);
   stack.Start();
   Process* p = stack.NewProcess("app");
@@ -200,7 +198,8 @@ TEST(AfqDetail, EqualPrioritiesShareReads) {
   Simulator sim;
   StackConfig config;
   CpuModel cpu(8);
-  StorageStack stack(config, &cpu, std::make_unique<AfqScheduler>(), nullptr);
+  StorageStack stack(config, &cpu,
+                     std::make_unique<ComposedScheduler>(AfqSpec()), nullptr);
   stack.Start();
   Process* p1 = stack.NewProcess("r1");
   Process* p2 = stack.NewProcess("r2");
@@ -229,7 +228,7 @@ TEST(SplitTokenDetail, AccountsAreIndependent) {
   Simulator sim;
   StackConfig config;
   CpuModel cpu(8);
-  auto sched = std::make_unique<SplitTokenScheduler>();
+  auto sched = std::make_unique<ComposedScheduler>(SplitTokenSpec());
   sched->SetAccountLimit(1, 2.0 * 1024 * 1024);
   sched->SetAccountLimit(2, 32.0 * 1024 * 1024);
   StorageStack stack(config, &cpu, std::move(sched), nullptr);

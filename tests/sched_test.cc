@@ -9,11 +9,7 @@
 #include "src/block/cfq.h"
 #include "src/block/noop.h"
 #include "src/core/storage_stack.h"
-#include "src/sched/afq.h"
-#include "src/sched/scs_token.h"
-#include "src/sched/split_deadline.h"
-#include "src/sched/split_noop.h"
-#include "src/sched/split_token.h"
+#include "src/sched/composed.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workloads.h"
 
@@ -60,7 +56,7 @@ double AsyncWriteDeviation(bool use_afq) {
   std::unique_ptr<StorageStack> stack;
   if (use_afq) {
     stack = std::make_unique<StorageStack>(
-        config, &cpu, std::make_unique<AfqScheduler>(), nullptr);
+        config, &cpu, std::make_unique<ComposedScheduler>(AfqSpec()), nullptr);
   } else {
     stack = std::make_unique<StorageStack>(config, &cpu, nullptr,
                                            std::make_unique<CfqElevator>());
@@ -114,13 +110,13 @@ struct TokenHarness {
                         StackConfig cfg = StackConfig()) {
     cpu = std::make_unique<CpuModel>(8);
     if (scs) {
-      auto s = std::make_unique<ScsTokenScheduler>();
+      auto s = std::make_unique<ComposedScheduler>(ScsTokenSpec());
       s->SetAccountLimit(1, rate_bytes_per_sec);
       scs_sched = s.get();
       stack = std::make_unique<StorageStack>(cfg, cpu.get(), std::move(s),
                                              nullptr);
     } else {
-      auto s = std::make_unique<SplitTokenScheduler>();
+      auto s = std::make_unique<ComposedScheduler>(SplitTokenSpec());
       s->SetAccountLimit(1, rate_bytes_per_sec);
       split_sched = s.get();
       stack = std::make_unique<StorageStack>(cfg, cpu.get(), std::move(s),
@@ -130,8 +126,8 @@ struct TokenHarness {
   }
   std::unique_ptr<CpuModel> cpu;
   std::unique_ptr<StorageStack> stack;
-  SplitTokenScheduler* split_sched = nullptr;
-  ScsTokenScheduler* scs_sched = nullptr;
+  ComposedScheduler* split_sched = nullptr;
+  ComposedScheduler* scs_sched = nullptr;
 };
 
 TEST(SplitToken, ThrottledSequentialWriterConvergesToRate) {
@@ -182,7 +178,7 @@ TEST(ScsToken, UnmodifiedVariantChargesCacheHits) {
   CpuModel cpu(8);
   ScsTokenConfig scs_cfg;
   scs_cfg.cache_hit_exemption = false;
-  auto sched = std::make_unique<ScsTokenScheduler>(scs_cfg);
+  auto sched = std::make_unique<ComposedScheduler>(ScsTokenSpec(scs_cfg));
   sched->SetAccountLimit(1, 1.0 * 1024 * 1024);
   StorageStack stack(cfg, &cpu, std::move(sched), nullptr);
   stack.Start();
@@ -320,7 +316,8 @@ Nanos SmallFsyncP99(bool use_split) {
     sd.own_writeback = true;
     config.cache.writeback_daemon = false;
     stack = std::make_unique<StorageStack>(
-        config, &cpu, std::make_unique<SplitDeadlineScheduler>(sd), nullptr);
+        config, &cpu,
+        std::make_unique<ComposedScheduler>(SplitDeadlineSpec(sd)), nullptr);
   } else {
     BlockDeadlineConfig bd;
     bd.read_expiry = Msec(20);
@@ -372,7 +369,8 @@ TEST(SplitDeadline, OwnWritebackEventuallyCleansDirtyData) {
   sd.own_writeback = true;
   CpuModel cpu(8);
   StorageStack stack(config, &cpu,
-                     std::make_unique<SplitDeadlineScheduler>(sd), nullptr);
+                     std::make_unique<ComposedScheduler>(SplitDeadlineSpec(sd)),
+                     nullptr);
   stack.Start();
   Process* p = stack.NewProcess("app");
   auto body = [&]() -> Task<void> {
@@ -390,8 +388,8 @@ TEST(SplitNoop, HooksFireWithoutChangingBehaviour) {
   Simulator sim;
   StackConfig config;
   CpuModel cpu(8);
-  auto sched = std::make_unique<SplitNoopScheduler>();
-  SplitNoopScheduler* noop = sched.get();
+  auto sched = std::make_unique<ComposedScheduler>(SplitNoopSpec());
+  ComposedScheduler* noop = sched.get();
   StorageStack stack(config, &cpu, std::move(sched), nullptr);
   stack.Start();
   Process* p = stack.NewProcess("app");

@@ -8,7 +8,7 @@
 #include "src/block/noop.h"
 #include "src/core/storage_stack.h"
 #include "src/device/trace.h"
-#include "src/sched/split_token.h"
+#include "src/sched/composed.h"
 #include "src/sim/simulator.h"
 
 namespace splitio {
@@ -207,9 +207,9 @@ TEST(IoTracer, CoexistsWithSplitSchedulerHook) {
   Simulator sim;
   StackConfig config;
   CpuModel cpu(8);
-  auto sched = std::make_unique<SplitTokenScheduler>();
+  auto sched = std::make_unique<ComposedScheduler>(SplitTokenSpec());
   sched->SetAccountLimit(1, 4.0 * 1024 * 1024);
-  SplitTokenScheduler* token = sched.get();
+  ComposedScheduler* token = sched.get();
   StorageStack stack(config, &cpu, std::move(sched), nullptr);
   IoTracer tracer;
   tracer.Attach(&stack.block());  // appends after the scheduler's hook

@@ -317,15 +317,11 @@ int main(int argc, char** argv) {
   // command line, never on prior draws or wall clock.
   std::vector<Candidate> pool;
   size_t canonical_count = 0;
-  for (const std::string& name : AllPolicySpecNames()) {
+  for (const char* name : AllPolicySpecNames()) {
     Candidate cand;
-    if (!NamedPolicySpec(name, &cand.spec)) {
-      std::fprintf(stderr, "sched_search: %s\n",
-                   UnknownSchedMessage(name).c_str());
-      return 2;
-    }
+    NamedPolicySpec(name, &cand.spec);
     SchedKind kind;
-    cand.canonical = SchedKindFromName(name.c_str(), &kind);
+    cand.canonical = SchedKindFromName(name, &kind);
     canonical_count += cand.canonical ? 1 : 0;
     pool.push_back(std::move(cand));
   }

@@ -132,15 +132,13 @@ int main(int argc, char** argv) {
       if (val == nullptr) {
         return Usage();
       }
-      if (splitio::SchedKindFromName(val, &options.pinned_sched)) {
-        options.pin_sched = true;
-      } else if (splitio::NamedPolicySpec(val, &options.pinned_spec)) {
-        options.pin_spec = true;
-      } else {
+      splitio::PolicySpec spec;
+      if (!splitio::NamedPolicySpec(val, &spec)) {
         std::fprintf(stderr, "stress_runner: %s\n",
                      splitio::UnknownSchedMessage(val).c_str());
         return 2;
       }
+      options.pin_sched = val;
     } else if (arg == "--max-ops") {
       const char* val = next();
       if (val == nullptr || !ParseLong(val, &v) || v < 1) {

@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--sched") {
       const char* name = next("--sched");
       if (!SchedKindFromName(name, &options.stack.sched)) {
-        std::fprintf(stderr, "unknown scheduler %s\n", name);
+        std::fprintf(stderr, "trace2repro: %s\n",
+                     UnknownSchedMessage(name, /*kinds_only=*/true).c_str());
         return 2;
       }
     } else if (arg == "--control") {
