@@ -17,7 +17,7 @@ inline constexpr uint32_t kMaxMergedBytes = 1024 * 1024;
 
 class NoopElevator : public Elevator {
  public:
-  std::string name() const override { return "noop"; }
+  std::string name() const override { return "block-noop"; }
 
   // Kept single-queue for baseline fidelity: the legacy noop elevator ran
   // behind one dispatch queue (device-side NCQ still applies via depth).

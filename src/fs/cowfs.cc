@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "src/sim/simulator.h"
 
@@ -124,12 +125,11 @@ Task<uint64_t> CowFsSim::CowFlush(Process& submitter, int64_t ino,
     if (page == nullptr || !page->dirty) {
       continue;
     }
-    auto old = inode->extents.find(idx);
-    if (old != inode->extents.end()) {
-      MarkDead(old->second);
+    if (std::optional<uint64_t> old = inode->extents.Find(idx)) {
+      MarkDead(*old);
     }
     uint64_t sector = AllocateCowPage(*inode, idx, page->causes);
-    inode->extents[idx] = sector;
+    inode->extents.Assign(idx, sector);
     bool contiguous =
         run_pages > 0 &&
         sector == run_sector + run_pages * (kPageSize / kSectorSize) &&
@@ -290,7 +290,7 @@ Task<void> CowFsSim::CollectSegment(size_t seg_idx) {
     MarkDead(sector);
     uint64_t new_sector =
         AllocateCowPage(*inode, owner.second, gc_task_->Causes());
-    inode->extents[owner.second] = new_sector;
+    inode->extents.Assign(owner.second, new_sector);
     auto write_req = std::make_shared<BlockRequest>();
     write_req->sector = new_sector;
     write_req->bytes = kPageSize;

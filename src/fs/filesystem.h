@@ -5,9 +5,11 @@
 #ifndef SRC_FS_FILESYSTEM_H_
 #define SRC_FS_FILESYSTEM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "src/block/block_layer.h"
 #include "src/cache/page_cache.h"
 #include "src/core/process.h"
+#include "src/fs/extent_map.h"
 #include "src/sim/task.h"
 
 namespace splitio {
@@ -28,12 +31,15 @@ struct Inode {
   bool deleted = false;
   uint64_t size = 0;
   // Delayed allocation: page index -> disk sector, assigned at writeback.
-  // Point lookups only (no ordered scans), so a hash map: red-black trees
-  // here dominated bench profiles — a preallocated 8 GB file is 2M nodes,
-  // and every data-path page touch paid an O(log n) pointer chase.
-  std::unordered_map<uint64_t, uint64_t> extents;
-  // Allocation chunks already reserved for this file: chunk -> base sector.
-  std::unordered_map<uint64_t, uint64_t> chunks;
+  // Run-length (see extent_map.h), so a preallocated or sequentially
+  // written file is one run rather than one node per 4 KiB page; a page
+  // without a mapping is a hole.
+  ExtentMap extents;
+  // Allocation chunks already reserved for this file, in page terms: every
+  // page of a reserved chunk maps to the slot it will get when allocated
+  // (chunk base + offset in the chunk), mapped or not. Chunks reserved back
+  // to back merge into one run.
+  ExtentMap reserved;
   // Sticky writeback error (errseq-lite): set when background writeback of
   // this file's pages fails, reported and cleared by the next fsync —
   // mirroring Linux's "fsync reports the error once" semantics.
@@ -51,13 +57,35 @@ class ExtentAllocator {
   // Returns the sector for `page_index` of `inode`, reserving a new chunk if
   // this is the first allocation in that chunk.
   uint64_t AllocatePage(Inode& inode, uint64_t page_index) {
-    uint64_t chunk = page_index / chunk_pages_;
-    auto [it, inserted] = inode.chunks.try_emplace(chunk, cursor_);
-    if (inserted) {
-      cursor_ += chunk_pages_ * (kPageSize / kSectorSize);
+    if (std::optional<uint64_t> sector = inode.reserved.Find(page_index)) {
+      return *sector;
     }
-    return it->second +
-           (page_index % chunk_pages_) * (kPageSize / kSectorSize);
+    uint64_t chunk_first = page_index - page_index % chunk_pages_;
+    inode.reserved.Assign(chunk_first, cursor_, chunk_pages_);
+    uint64_t sector = cursor_ + (page_index - chunk_first) * kSectorsPerPage;
+    cursor_ += chunk_pages_ * kSectorsPerPage;
+    return sector;
+  }
+
+  // Delayed allocation of one page: maps `page_index` to its slot unless it
+  // is already mapped. Returns whether it allocated.
+  bool MapPage(Inode& inode, uint64_t page_index) {
+    if (inode.extents.Find(page_index)) {
+      return false;
+    }
+    inode.extents.Assign(page_index, AllocatePage(inode, page_index));
+    return true;
+  }
+
+  // Maps pages [0, pages) of a file with no allocation yet, one chunk at a
+  // time: a chunk's pages lie contiguously from the slot of its first page,
+  // and back-to-back chunks merge into the same run. O(chunks).
+  void Preallocate(Inode& inode, uint64_t pages) {
+    for (uint64_t idx = 0; idx < pages;) {
+      uint64_t n = std::min(chunk_pages_ - idx % chunk_pages_, pages - idx);
+      inode.extents.Assign(idx, AllocatePage(inode, idx), n);
+      idx += n;
+    }
   }
 
   uint64_t cursor() const { return cursor_; }

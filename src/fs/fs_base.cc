@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <optional>
 #include <vector>
 
 #include "src/metrics/counters.h"
@@ -154,12 +155,12 @@ Task<int64_t> FsBase::Read(Process& proc, int64_t ino, uint64_t offset,
     bool hit = cache_->Find(ino, idx) != nullptr;
     uint64_t sector = 0;
     if (!hit) {
-      auto ext = inode->extents.find(idx);
-      if (ext == inode->extents.end()) {
+      std::optional<uint64_t> ext = inode->extents.Find(idx);
+      if (!ext) {
         hit = true;  // hole: zero-fill, no device I/O
         cache_->InsertClean(ino, idx);
       } else {
-        sector = ext->second;
+        sector = *ext;
       }
     }
     bool contiguous =
@@ -234,8 +235,7 @@ Task<uint64_t> FsBase::FlushInodeData(Process& submitter, int64_t ino,
   // Delayed allocation: assign disk locations now and journal the metadata.
   int alloc_pages = 0;
   for (uint64_t idx : indices) {
-    if (inode->extents.find(idx) == inode->extents.end()) {
-      inode->extents.emplace(idx, allocator_.AllocatePage(*inode, idx));
+    if (allocator_.MapPage(*inode, idx)) {
       ++alloc_pages;
     }
   }
@@ -283,7 +283,7 @@ Task<uint64_t> FsBase::FlushInodeData(Process& submitter, int64_t ino,
     if (page == nullptr || !page->dirty) {
       continue;  // freed or raced with another flusher
     }
-    uint64_t sector = inode->extents.at(idx);
+    uint64_t sector = *inode->extents.Find(idx);
     bool contiguous =
         run_pages > 0 &&
         sector == run_sector + run_pages * (kPageSize / kSectorSize) &&
@@ -415,11 +415,7 @@ int64_t FsBase::CreatePreallocated(const std::string& path, uint64_t bytes) {
   int64_t ino = NewInode(path, /*is_dir=*/false);
   Inode& inode = inodes_[ino];
   inode.size = bytes;
-  uint64_t pages = (bytes + kPageSize - 1) / kPageSize;
-  inode.extents.reserve(pages);
-  for (uint64_t idx = 0; idx < pages; ++idx) {
-    inode.extents.emplace(idx, allocator_.AllocatePage(inode, idx));
-  }
+  allocator_.Preallocate(inode, (bytes + kPageSize - 1) / kPageSize);
   return ino;
 }
 

@@ -45,6 +45,17 @@ TEST(PolicySpecRegistry, SpecForKindMatchesRegistry) {
   }
 }
 
+// A built scheduler reports the registry's name, legacy elevators included:
+// one spelling per scheduler.
+TEST(PolicySpecRegistry, BuiltSchedulerNameIsRegistryName) {
+  for (SchedKind kind : kAllSchedKinds) {
+    SchedInstance sched = MakeSched(kind);
+    std::string name =
+        sched.split != nullptr ? sched.split->name() : sched.legacy->name();
+    EXPECT_EQ(name, SchedName(kind));
+  }
+}
+
 TEST(PolicySpecRegistry, UnknownSchedMessageListsEveryName) {
   std::string msg = UnknownSchedMessage("bogus");
   EXPECT_NE(msg.find("unknown scheduler \"bogus\""), std::string::npos) << msg;
