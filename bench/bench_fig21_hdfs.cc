@@ -8,16 +8,22 @@
 // blocks, placement imbalance strands tokens on idle workers, so the group
 // falls short; 16 MB blocks spread load and approach the bound.
 //
-// bench_hdfs_sharded runs this scenario's shape at 100–1000 workers on the
-// sharded parallel simulator (one DES per node), byte-identical to the
-// sequential engine; this bench stays on the single-simulator DfsCluster
-// to reproduce the paper figure exactly.
+// The cluster is ShardedDfs with its defaults: one simulator per worker
+// machine plus a client shard, run on one thread. Every client-to-worker
+// RPC costs 50 us of latency on top of its wire time, and each client draws
+// block placements from its own stream. bench_hdfs_sharded runs the same
+// scenario at 100-1000 workers.
+#include <string>
+#include <vector>
+
 #include "bench/common/flags.h"
 #include "bench/common/harness.h"
-#include "src/apps/dfs.h"
+#include "src/apps/dfs_sharded.h"
 
 namespace splitio {
 namespace {
+
+constexpr double kCaps[] = {4.0, 8.0, 16.0, 32.0};
 
 struct Row {
   double throttled_mbps;
@@ -29,22 +35,21 @@ Row Run(double cap_mbps, uint64_t block_bytes) {
   StackCounterScope scope(std::string(SchedName(SchedKind::kSplitToken)) +
                           "/dfs-" + HumanBytes(block_bytes) + "/cap" +
                           std::to_string(static_cast<int>(cap_mbps)));
-  Simulator sim;
-  DfsCluster::Config config;
+  ShardedDfs::Config config;
   config.block_bytes = block_bytes;
-  DfsCluster cluster(config);
+  ShardedDfs cluster(config);
   cluster.Start();
   cluster.SetAccountLimit(1, cap_mbps * 1024 * 1024);
   constexpr Nanos kEnd = Sec(60);
   std::vector<WorkloadStats> throttled(4);
   std::vector<WorkloadStats> unthrottled(4);
   for (int i = 0; i < 4; ++i) {
-    sim.Spawn(cluster.ClientWriter(i, /*account=*/1, kEnd,
-                                   &throttled[static_cast<size_t>(i)]));
-    sim.Spawn(cluster.ClientWriter(100 + i, /*account=*/-1, kEnd,
-                                   &unthrottled[static_cast<size_t>(i)]));
+    cluster.AddClient(i, /*account=*/1, kEnd,
+                      &throttled[static_cast<size_t>(i)]);
+    cluster.AddClient(100 + i, /*account=*/-1, kEnd,
+                      &unthrottled[static_cast<size_t>(i)]);
   }
-  sim.Run(kEnd);
+  cluster.Run(kEnd);
   auto sum = [&](const std::vector<WorkloadStats>& group) {
     uint64_t bytes = 0;
     for (const auto& s : group) {
@@ -59,16 +64,53 @@ Row Run(double cap_mbps, uint64_t block_bytes) {
   return row;
 }
 
-void Section(uint64_t block_bytes) {
+std::vector<Row> Section(uint64_t block_bytes) {
   std::printf("\n-- HDFS block size %s --\n",
               HumanBytes(block_bytes).c_str());
   std::printf("%10s %16s %18s %12s\n", "cap(MB/s)", "throttled(MB/s)",
               "unthrottled(MB/s)", "bound(MB/s)");
-  for (double cap : {4.0, 8.0, 16.0, 32.0}) {
+  std::vector<Row> rows;
+  for (double cap : kCaps) {
     Row row = Run(cap, block_bytes);
     std::printf("%10.0f %16.1f %18.1f %12.1f\n", cap, row.throttled_mbps,
                 row.unthrottled_mbps, row.bound_mbps);
+    rows.push_back(row);
   }
+  return rows;
+}
+
+// The paper's shape, per block size: the throttled group's throughput
+// rises with its cap and never beats the (cap/3)*7 bound, and throttling
+// harder buys the unthrottled group throughput. Across block sizes, 16 MB
+// blocks get the throttled group closer to the bound than 64 MB blocks.
+bool CheckShape(const std::vector<Row>& big, const std::vector<Row>& small) {
+  bool ok = true;
+  auto fail = [&](const std::string& what) {
+    std::printf("FAIL: %s\n", what.c_str());
+    ok = false;
+  };
+  for (const auto* rows : {&big, &small}) {
+    const std::string block = rows == &big ? "64MB" : "16MB";
+    for (size_t i = 0; i < rows->size(); ++i) {
+      const Row& row = (*rows)[i];
+      const std::string at =
+          block + " cap " + std::to_string(static_cast<int>(kCaps[i]));
+      if (i > 0 && row.throttled_mbps <= (*rows)[i - 1].throttled_mbps) {
+        fail(at + ": throttled throughput did not rise with the cap");
+      }
+      if (row.throttled_mbps > row.bound_mbps) {
+        fail(at + ": throttled throughput exceeds the (cap/3)*7 bound");
+      }
+    }
+    if (rows->front().unthrottled_mbps <= rows->back().unthrottled_mbps) {
+      fail(block + ": unthrottled throughput at cap 4 is not above cap 32");
+    }
+  }
+  if (small.back().throttled_mbps <= big.back().throttled_mbps) {
+    fail("cap 32: 16MB blocks do not beat 64MB blocks for the throttled "
+         "group");
+  }
+  return ok;
 }
 
 }  // namespace
@@ -79,10 +121,10 @@ int main(int argc, char** argv) {
   using namespace splitio;
   PrintTitle("Figure 21: HDFS write isolation (7 workers, 3x replication, "
              "4 throttled + 4 unthrottled writers)");
-  Section(64ULL << 20);
-  Section(16ULL << 20);
+  std::vector<Row> big = Section(64ULL << 20);
+  std::vector<Row> small = Section(16ULL << 20);
   std::printf("\n(Paper: smaller caps on the throttled group buy the "
               "unthrottled group throughput; 16 MB blocks balance load and "
               "close the gap to the (cap/3)*7 bound.)\n");
-  return 0;
+  return CheckShape(big, small) ? 0 : 1;
 }

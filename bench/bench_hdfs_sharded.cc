@@ -13,15 +13,16 @@
 //     threads=1 and a threads=4 run of the same configuration must agree
 //     on every client's byte count, total events, and every counter.
 //
-// Environment knobs (all optional):
+// Environment knobs (all optional; a value that is not a whole number in
+// range exits 2 naming the variable):
 //   SPLITIO_SHARD_CHECK=1     deterministic-output mode for the byte-diff
 //                             ctest: no wall-clock numbers, configuration
 //                             taken from the SPLITIO_SHARD_* vars below.
-//   SPLITIO_SHARD_NODES       worker count            (default 100)
-//   SPLITIO_SHARD_CLIENTS     clients per group       (default 4)
+//   SPLITIO_SHARD_NODES       worker count, >= 3      (default 100)
+//   SPLITIO_SHARD_CLIENTS     clients per group, >= 1 (default 4)
 //   SPLITIO_SHARD_HORIZON_MS  simulated horizon in ms (default 400)
-//   SPLITIO_SHARD_THREADS     pool size               (check mode; 1)
-//   SPLITIO_SHARD_GROUPING    workers per shard       (check mode; 1)
+//   SPLITIO_SHARD_THREADS     pool size, 0 = all cores (check mode; 1)
+//   SPLITIO_SHARD_GROUPING    workers per shard, >= 1 (check mode; 1)
 //   SPLITIO_SHARD_SCHED       scheduler name          (check mode)
 //   SPLITIO_SHARD_PERTURB=1   inflate the lookahead past the RPC latency —
 //                             the negative control: the run must report
@@ -31,9 +32,11 @@
 //                             multi-core runners; skipped when the machine
 //                             has fewer than 4 cores).
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include "bench/common/flags.h"
@@ -43,9 +46,30 @@
 namespace splitio {
 namespace {
 
-int64_t EnvInt(const char* name, int64_t fallback) {
+// Every block goes to three distinct workers (ShardedDfs's default
+// replication factor), so the cluster needs at least three.
+constexpr int kMinNodes = 3;
+
+// Reads `name` as a whole decimal integer in [min, INT_MAX]; unset or empty
+// yields `fallback`. Anything else (trailing garbage, out of range) exits 2
+// naming the variable: a worker count below the replication factor would
+// never place a block, and a zero grouping would divide by zero.
+int64_t EnvInt(const char* name, int64_t fallback, int64_t min) {
   const char* v = std::getenv(name);
-  return (v != nullptr && *v != '\0') ? std::atoll(v) : fallback;
+  if (v == nullptr || *v == '\0') {
+    return fallback;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(v, &end, 10);
+  if (errno != 0 || *end != '\0' || parsed < min ||
+      parsed > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "%s=%s: expected a whole number from %lld to %d\n",
+                 name, v, static_cast<long long>(min),
+                 std::numeric_limits<int>::max());
+    std::exit(2);
+  }
+  return parsed;
 }
 
 struct RunResult {
@@ -150,14 +174,14 @@ bool SameTimeline(const RunResult& a, const RunResult& b,
 
 int CheckMode() {
   Scenario sc;
-  sc.nodes = static_cast<int>(EnvInt("SPLITIO_SHARD_NODES", 12));
+  sc.nodes = static_cast<int>(EnvInt("SPLITIO_SHARD_NODES", 12, kMinNodes));
   sc.clients_per_group =
-      static_cast<int>(EnvInt("SPLITIO_SHARD_CLIENTS", 2));
-  sc.horizon = Msec(EnvInt("SPLITIO_SHARD_HORIZON_MS", 200));
-  sc.threads = static_cast<int>(EnvInt("SPLITIO_SHARD_THREADS", 1));
+      static_cast<int>(EnvInt("SPLITIO_SHARD_CLIENTS", 2, 1));
+  sc.horizon = Msec(EnvInt("SPLITIO_SHARD_HORIZON_MS", 200, 1));
+  sc.threads = static_cast<int>(EnvInt("SPLITIO_SHARD_THREADS", 1, 0));
   sc.workers_per_shard =
-      static_cast<int>(EnvInt("SPLITIO_SHARD_GROUPING", 1));
-  sc.perturb_lookahead = EnvInt("SPLITIO_SHARD_PERTURB", 0) != 0;
+      static_cast<int>(EnvInt("SPLITIO_SHARD_GROUPING", 1, 1));
+  sc.perturb_lookahead = EnvInt("SPLITIO_SHARD_PERTURB", 0, 0) != 0;
   if (const char* name = std::getenv("SPLITIO_SHARD_SCHED")) {
     if (!SchedKindFromName(name, &sc.sched)) {
       std::fprintf(stderr, "%s\n",
@@ -195,10 +219,11 @@ int CheckMode() {
 }
 
 int ScalingMode() {
-  const int nodes = static_cast<int>(EnvInt("SPLITIO_SHARD_NODES", 100));
+  const int nodes =
+      static_cast<int>(EnvInt("SPLITIO_SHARD_NODES", 100, kMinNodes));
   const int clients =
-      static_cast<int>(EnvInt("SPLITIO_SHARD_CLIENTS", 4));
-  const Nanos horizon = Msec(EnvInt("SPLITIO_SHARD_HORIZON_MS", 400));
+      static_cast<int>(EnvInt("SPLITIO_SHARD_CLIENTS", 4, 1));
+  const Nanos horizon = Msec(EnvInt("SPLITIO_SHARD_HORIZON_MS", 400, 1));
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
 
@@ -286,7 +311,7 @@ int ScalingMode() {
   }
 
   const double speedup_min = static_cast<double>(
-      EnvInt("SPLITIO_SHARD_SPEEDUP_MIN", 0));
+      EnvInt("SPLITIO_SHARD_SPEEDUP_MIN", 0, 0));
   if (speedup_min > 0) {
     if (hw < 4) {
       std::printf("speedup gate skipped: only %d cores\n", hw);
@@ -307,7 +332,7 @@ int ScalingMode() {
 
 int main(int argc, char** argv) {
   splitio::ParseBenchFlags(argc, argv);
-  if (splitio::EnvInt("SPLITIO_SHARD_CHECK", 0) != 0) {
+  if (splitio::EnvInt("SPLITIO_SHARD_CHECK", 0, 0) != 0) {
     return splitio::CheckMode();
   }
   return splitio::ScalingMode();

@@ -1,12 +1,15 @@
-// Example: the HDFS-like cluster on the sharded parallel simulator.
+// Example: distributed isolation with Split-Token on an HDFS-like cluster.
 //
-// Same shape as example_hdfs_cluster — capped "dev" writers vs unthrottled
-// "prod" writers over replicated block pipelines — but every worker machine
-// is its own discrete-event simulator (DESIGN.md §11). The shards run on a
-// thread pool (threads = 0 → all cores) synchronized by conservative
-// lookahead equal to the RPC latency, and the result is byte-identical to
-// the sequential run: re-run with SPLITIO_EXAMPLE_THREADS=1 vs =4 and diff
-// the output.
+// Worker machines (each a full storage stack) serve two tenants: "prod"
+// (unthrottled) and "dev" (rate-capped per worker). Account tags travel in
+// the client-to-worker RPCs, so each worker's local Split-Token bills the
+// right tenant even though the I/O is performed by server threads.
+//
+// Every worker machine is its own discrete-event simulator (DESIGN.md §11).
+// The shards run on a thread pool (threads = 0 → all cores) synchronized by
+// conservative lookahead equal to the RPC latency, and the result is
+// byte-identical to the sequential run: re-run with
+// SPLITIO_EXAMPLE_THREADS=1 vs =4 and diff the output.
 //
 //   ./build/examples/example_sharded_cluster
 #include <cstdio>
@@ -29,7 +32,9 @@ int main() {
   cluster.Start();
   cluster.SetAccountLimit(/*dev=*/1, 8.0 * 1024 * 1024);  // per worker
 
-  constexpr Nanos kEnd = Msec(300);
+  // Long enough for the dev cap to bite: in the first few hundred ms both
+  // tenants run on the token buckets' initial burst.
+  constexpr Nanos kEnd = Sec(5);
   WorkloadStats prod[2];
   WorkloadStats dev[2];
   for (int i = 0; i < 2; ++i) {

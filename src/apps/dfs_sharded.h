@@ -1,18 +1,22 @@
-// ShardedDfs — the DfsCluster workload (§7.3) decomposed for the sharded
-// parallel simulator (src/sim/shard.h).
+// ShardedDfs — the HDFS-like distributed file system model (§7.3, Fig 21),
+// run on the sharded parallel simulator (src/sim/shard.h).
 //
-// Shard 0 hosts the clients and the NameNode placement logic; every worker
-// machine — a complete StorageStack with its own CpuModel and scheduler —
-// lives on a worker shard (`workers_per_shard` machines per shard, 1 by
-// default, i.e. one DES per node). The client↔worker protocol of DfsCluster
-// becomes explicit RPC messages across shard boundaries: a request's network
-// latency (fixed RPC latency + wire transfer time) is exactly the
-// conservative lookahead slack the shard runtime synchronizes on, so the
-// cluster parallelizes along its real network edges.
+// One NameNode (placement only) and N worker machines, each a complete
+// StorageStack with its own CpuModel and scheduler. Clients write files in
+// fixed blocks; each block is replicated to a pipeline of three workers.
+// Shard 0 hosts the clients and the NameNode; every worker lives on a
+// worker shard (`workers_per_shard` machines per shard, 1 by default, i.e.
+// one DES per node). Clients reach workers through explicit RPC messages
+// across shard boundaries: a request's network latency (fixed RPC latency +
+// wire transfer time) is exactly the conservative lookahead slack the shard
+// runtime synchronizes on, so the cluster parallelizes along its real
+// network edges. With the defaults (7 workers, threads = 1) it is the
+// paper's 7-node cluster; bench_hdfs_sharded scales it to 100–1000 nodes.
 //
-// As in DfsCluster, the request carries the *account* to bill, and the
-// worker's server process adopts it — the paper's cross-machine tag
-// propagation, now across simulator shards too.
+// The request carries the *account* to bill, and the worker's server
+// process adopts it, so a worker's local Split-Token charges the right
+// tenant even though the I/O is performed by the worker's server threads —
+// the paper's cross-machine tag propagation.
 #ifndef SRC_APPS_DFS_SHARDED_H_
 #define SRC_APPS_DFS_SHARDED_H_
 
